@@ -141,7 +141,9 @@ pub enum Mech {
 }
 
 impl Mech {
-    /// Builds a fresh mechanism instance.
+    /// Builds a mechanism with its own sampler state over the die that
+    /// [`TRNG_SEED`] selects; the profiled die itself is shared by every
+    /// instance in the process.
     pub fn build(self) -> Box<dyn TrngMechanism> {
         match self {
             Mech::DRange => Box::new(DRange::new(TRNG_SEED)),

@@ -17,12 +17,6 @@
 use crate::entropy::RngCellSource;
 use crate::mechanism::{BatchCommands, TrngMechanism};
 
-/// Default cells simulated per die region for the entropy source.
-const DEFAULT_CELLS: usize = 32_768;
-/// Profiling reads per cell (D-RaNGe uses 1000 in hardware; 128 keeps
-/// construction fast while selecting the same band).
-const PROFILE_READS: u32 = 128;
-
 /// The D-RaNGe mechanism model.
 ///
 /// # Examples
@@ -47,11 +41,11 @@ pub struct DRange {
 }
 
 impl DRange {
-    /// Creates a D-RaNGe instance over a fresh simulated die (`seed`
-    /// selects the process variation).
+    /// Creates a D-RaNGe instance sampling the simulated die whose process
+    /// variation `seed` selects.
     pub fn new(seed: u64) -> Self {
         DRange {
-            source: RngCellSource::new(DEFAULT_CELLS, seed, PROFILE_READS),
+            source: RngCellSource::standard_die(seed),
             batch_bits: 8,
             batch_latency: 40,
             demand_switch: 40,

@@ -13,9 +13,16 @@
 //! probability from repeated reduced-timing reads and keep cells whose
 //! estimate falls in the RNG band around 0.5.
 //!
+//! Profiling is a pure function of `(cells, seed, reads)`, so its product
+//! — a `ProfiledDie` — is computed once per process and shared by every
+//! [`RngCellSource`] over that die; a source owns only its sampler state.
+//!
 //! This substitutes for real-hardware measurements (see DESIGN.md): it
 //! exercises the same profiling/selection/sampling code paths and produces
 //! bits with the same statistical character.
+
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -112,11 +119,108 @@ impl CellArray {
     }
 }
 
+/// Cells simulated per die region by the shipped mechanisms.
+const STANDARD_CELLS: usize = 32_768;
+/// Profiling reads per cell for the shipped mechanisms (D-RaNGe uses 1000
+/// in hardware; 128 keeps profiling fast while selecting the same band).
+const STANDARD_READS: u32 = 128;
+
+/// Dies the process-wide memo holds before it evicts the least recently
+/// used one. The traffic that exists: one seed in the figure harness, one
+/// per shard in a fleet (`STRANGE_SHARDS` defaults to 4), a handful per
+/// test binary. A standard die is ≈ 1.6 k RNG cells ≈ 6.5 KB, so the memo
+/// stays near 100 KB.
+const DIE_MEMO_CAPACITY: usize = 16;
+
+/// What a die is a function of: `(cells, seed, reads_per_cell)`.
+type DieKey = (usize, u64, u32);
+
+/// Recently profiled dies, most recently used first.
+static DIE_MEMO: Mutex<Vec<Arc<ProfiledDie>>> = Mutex::new(Vec::new());
+
+/// What profiling a die produces, and all that sampling it needs: the
+/// failure probabilities of its RNG cells in draw order plus the sampler
+/// state as profiling left it. A pure function of `(cells, seed,
+/// reads_per_cell)` and immutable, so every source over the same die
+/// shares one copy — D-RaNGe likewise profiles a device once and only
+/// samples it afterwards.
+struct ProfiledDie {
+    key: DieKey,
+    /// Never empty.
+    rng_probs: Box<[f32]>,
+    sampler: SmallRng,
+}
+
+impl ProfiledDie {
+    fn profile(key: DieKey) -> Self {
+        let (cells, seed, reads_per_cell) = key;
+        let mut array = CellArray::with_process_variation(cells, seed);
+        let rng_cells = array.profile(reads_per_cell);
+        assert!(
+            !rng_cells.is_empty(),
+            "no RNG cells found; enlarge the array"
+        );
+        ProfiledDie {
+            key,
+            rng_probs: rng_cells.iter().map(|&cell| array.probs[cell]).collect(),
+            sampler: array.rng,
+        }
+    }
+
+    /// The die for `key` from the memo, profiling it on a miss.
+    ///
+    /// Profiling runs with the memo unlocked: a panicking or slow profile
+    /// of one die neither poisons nor stalls builds over other dies. Two
+    /// threads missing on the same key may both profile; the results are
+    /// equal and the first one inserted is kept.
+    fn shared(key: DieKey) -> Arc<Self> {
+        // Its own statement, so the guard is gone before profiling starts.
+        let hit = recall(&mut lock_memo(), key);
+        if let Some(die) = hit {
+            return die;
+        }
+        let die = Arc::new(ProfiledDie::profile(key));
+        let mut memo = lock_memo();
+        if let Some(earlier) = recall(&mut memo, key) {
+            return earlier;
+        }
+        memo.truncate(DIE_MEMO_CAPACITY - 1);
+        memo.insert(0, Arc::clone(&die));
+        die
+    }
+}
+
+fn lock_memo() -> MutexGuard<'static, Vec<Arc<ProfiledDie>>> {
+    DIE_MEMO
+        .lock()
+        .expect("nothing that can panic runs under the die memo lock")
+}
+
+/// Finds `key` in the memo and marks it most recently used.
+fn recall(memo: &mut [Arc<ProfiledDie>], key: DieKey) -> Option<Arc<ProfiledDie>> {
+    let at = memo.iter().position(|die| die.key == key)?;
+    memo[..=at].rotate_right(1);
+    Some(Arc::clone(&memo[0]))
+}
+
+impl fmt::Debug for ProfiledDie {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (cells, seed, _) = self.key;
+        f.debug_struct("ProfiledDie")
+            .field("cells", &cells)
+            .field("seed", &seed)
+            .field("rng_cells", &self.rng_probs.len())
+            .finish_non_exhaustive()
+    }
+}
+
 /// A stream of true-random bits drawn from profiled RNG cells.
 ///
-/// Wraps a [`CellArray`] plus the profiled RNG-cell list and round-robins
-/// reads over the cells, the way D-RaNGe interleaves accesses over RNG cells
-/// in different banks.
+/// An independent sampler (its own generator state and cursor) over a
+/// shared, immutable profiled die; it round-robins reads over the RNG
+/// cells, the way D-RaNGe interleaves accesses over RNG cells in different
+/// banks. Cloning is O(1) and the clone continues the same stream
+/// independently.
 ///
 /// # Examples
 ///
@@ -128,38 +232,40 @@ impl CellArray {
 /// let _ = word; // 64 true-random bits
 /// assert!(source.rng_cell_count() > 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RngCellSource {
-    cells: CellArray,
-    rng_cells: Vec<usize>,
+    die: Arc<ProfiledDie>,
+    rng: SmallRng,
     cursor: usize,
 }
 
 impl RngCellSource {
-    /// Builds a source over a fresh die of `cells` cells seeded by `seed`,
-    /// profiling with `reads_per_cell` reads.
+    /// Builds a source over the die of `cells` cells seeded by `seed`,
+    /// profiled with `reads_per_cell` reads. The die is profiled the first
+    /// time a process asks for it and served from a small memo of recently
+    /// used dies afterwards; the stream is the same either way.
     ///
     /// # Panics
     ///
     /// Panics if profiling finds no RNG cells (arrays of a few thousand
     /// cells always contain some under the default process-variation model).
     pub fn new(cells: usize, seed: u64, reads_per_cell: u32) -> Self {
-        let mut array = CellArray::with_process_variation(cells, seed);
-        let rng_cells = array.profile(reads_per_cell);
-        assert!(
-            !rng_cells.is_empty(),
-            "no RNG cells found; enlarge the array"
-        );
+        let die = ProfiledDie::shared((cells, seed, reads_per_cell));
         RngCellSource {
-            cells: array,
-            rng_cells,
+            rng: die.sampler.clone(),
+            die,
             cursor: 0,
         }
     }
 
+    /// A source over the die region every shipped mechanism simulates.
+    pub(crate) fn standard_die(seed: u64) -> Self {
+        RngCellSource::new(STANDARD_CELLS, seed, STANDARD_READS)
+    }
+
     /// Number of profiled RNG cells.
     pub fn rng_cell_count(&self) -> usize {
-        self.rng_cells.len()
+        self.die.rng_probs.len()
     }
 
     /// Draws `count` bits (1..=64) packed into the low bits of a `u64`.
@@ -169,19 +275,77 @@ impl RngCellSource {
     /// Panics if `count` is 0 or greater than 64.
     pub fn draw(&mut self, count: u32) -> u64 {
         assert!((1..=64).contains(&count), "count must be 1..=64");
+        let probs = &*self.die.rng_probs;
         let mut word = 0u64;
         for _ in 0..count {
-            let cell = self.rng_cells[self.cursor];
-            self.cursor = (self.cursor + 1) % self.rng_cells.len();
-            word = (word << 1) | u64::from(self.cells.sample(cell));
+            let p = probs[self.cursor];
+            self.cursor += 1;
+            if self.cursor == probs.len() {
+                self.cursor = 0;
+            }
+            word = (word << 1) | u64::from(self.rng.gen::<f32>() < p);
         }
         word
+    }
+}
+
+impl fmt::Debug for RngCellSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RngCellSource")
+            .field("die", &self.die)
+            .field("cursor", &self.cursor)
+            .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::panic::catch_unwind;
+    use std::sync::Barrier;
+    use std::thread;
+
+    /// The reference the shared-die source must equal: a source that
+    /// profiles and owns its whole cell array, samples through
+    /// [`CellArray::sample`] by RNG-cell index and wraps its cursor with `%`.
+    struct OwnedArraySource {
+        cells: CellArray,
+        rng_cells: Vec<usize>,
+        cursor: usize,
+    }
+
+    impl OwnedArraySource {
+        fn new(cells: usize, seed: u64, reads_per_cell: u32) -> Self {
+            let mut array = CellArray::with_process_variation(cells, seed);
+            let rng_cells = array.profile(reads_per_cell);
+            assert!(!rng_cells.is_empty());
+            OwnedArraySource {
+                cells: array,
+                rng_cells,
+                cursor: 0,
+            }
+        }
+
+        fn draw(&mut self, count: u32) -> u64 {
+            let mut word = 0u64;
+            for _ in 0..count {
+                let cell = self.rng_cells[self.cursor];
+                self.cursor = (self.cursor + 1) % self.rng_cells.len();
+                word = (word << 1) | u64::from(self.cells.sample(cell));
+            }
+            word
+        }
+
+        fn words(cells: usize, seed: u64, reads_per_cell: u32, n: usize) -> Vec<u64> {
+            let mut source = OwnedArraySource::new(cells, seed, reads_per_cell);
+            (0..n).map(|_| source.draw(64)).collect()
+        }
+    }
+
+    fn words(source: &mut RngCellSource, n: usize) -> Vec<u64> {
+        (0..n).map(|_| source.draw(64)).collect()
+    }
 
     #[test]
     fn process_variation_produces_three_populations() {
@@ -261,5 +425,118 @@ mod tests {
     #[should_panic(expected = "must be non-empty")]
     fn empty_array_rejected() {
         CellArray::with_process_variation(0, 1);
+    }
+
+    proptest! {
+        /// A memo-served source serves the stream of a source that
+        /// profiles and samples its own array, for any die and any mix of
+        /// draw widths (small arrays wrap the cursor many times).
+        #[test]
+        fn shared_die_source_equals_owned_array_source(
+            cells in 2_000usize..8_000,
+            seed in any::<u64>(),
+            reads in 8u32..=48,
+            counts in collection::vec(1u32..=64, 1..120),
+        ) {
+            let mut reference = OwnedArraySource::new(cells, seed, reads);
+            // Built twice: the first build may profile, the second is
+            // served from the memo.
+            let mut profiled = RngCellSource::new(cells, seed, reads);
+            let mut recalled = RngCellSource::new(cells, seed, reads);
+            prop_assert_eq!(profiled.rng_cell_count(), reference.rng_cells.len());
+            for &count in &counts {
+                let want = reference.draw(count);
+                prop_assert_eq!(profiled.draw(count), want);
+                prop_assert_eq!(recalled.draw(count), want);
+            }
+        }
+    }
+
+    #[test]
+    fn standard_die_matches_owned_array_source() {
+        let want = OwnedArraySource::words(STANDARD_CELLS, 11, STANDARD_READS, 64);
+        assert_eq!(words(&mut RngCellSource::standard_die(11), 64), want);
+    }
+
+    #[test]
+    fn sources_over_one_die_are_equal_and_independent() {
+        let want = OwnedArraySource::words(6_000, 21, 40, 300);
+        let mut a = RngCellSource::new(6_000, 21, 40);
+        let mut b = RngCellSource::new(6_000, 21, 40);
+        assert_eq!(words(&mut a, 100), want[..100]);
+        let mut mid = a.clone();
+        assert_eq!(words(&mut a, 100), want[100..200]);
+        // Draining `a` moved neither the untouched source nor the clone.
+        assert_eq!(words(&mut b, 300), want);
+        assert_eq!(words(&mut mid, 200), want[100..]);
+        assert_eq!(words(&mut a, 100), want[200..]);
+    }
+
+    #[test]
+    fn eviction_reprofiles_the_same_die() {
+        let (cells, seed, reads) = (3_000, 0xE71C_7000, 24);
+        let want = OwnedArraySource::words(cells, seed, reads, 50);
+        assert_eq!(words(&mut RngCellSource::new(cells, seed, reads), 50), want);
+        for other in 1..=(DIE_MEMO_CAPACITY + 3) as u64 {
+            RngCellSource::new(cells, seed + other, reads);
+        }
+        {
+            let memo = lock_memo();
+            assert!(memo.len() <= DIE_MEMO_CAPACITY);
+            assert!(memo.iter().all(|die| die.key != (cells, seed, reads)));
+        }
+        assert_eq!(words(&mut RngCellSource::new(cells, seed, reads), 50), want);
+    }
+
+    #[test]
+    fn concurrent_builds_of_one_die_agree() {
+        let want = OwnedArraySource::words(5_000, 0xC0C0, 32, 100);
+        let barrier = Barrier::new(8);
+        thread::scope(|scope| {
+            let builds: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        words(&mut RngCellSource::new(5_000, 0xC0C0, 32), 100)
+                    })
+                })
+                .collect();
+            for build in builds {
+                assert_eq!(build.join().expect("builder thread"), want);
+            }
+        });
+    }
+
+    #[test]
+    fn different_seeds_give_different_dies() {
+        let mut a = RngCellSource::new(4_000, 30, 32);
+        let mut b = RngCellSource::new(4_000, 31, 32);
+        assert_ne!(a.die.rng_probs, b.die.rng_probs);
+        assert_ne!(words(&mut a, 8), words(&mut b, 8));
+    }
+
+    #[test]
+    fn failed_profile_leaves_the_memo_usable() {
+        // Four cells hold no RNG cell under this seed.
+        let failed = catch_unwind(|| RngCellSource::new(4, 1, 16));
+        assert!(failed.is_err(), "profiling four cells must find nothing");
+        let want = OwnedArraySource::words(3_000, 41, 24, 20);
+        assert_eq!(words(&mut RngCellSource::new(3_000, 41, 24), 20), want);
+        let elsewhere = thread::spawn(|| words(&mut RngCellSource::new(3_000, 42, 24), 20));
+        assert_eq!(
+            elsewhere.join().expect("build on another thread"),
+            OwnedArraySource::words(3_000, 42, 24, 20)
+        );
+    }
+
+    #[test]
+    fn debug_is_compact() {
+        let mut source = RngCellSource::standard_die(1);
+        source.draw(5);
+        let text = format!("{source:?}");
+        assert!(text.len() < 160, "{text}");
+        for field in ["cells: 32768", "seed: 1", "rng_cells: ", "cursor: 5"] {
+            assert!(text.contains(field), "{field} missing from {text}");
+        }
     }
 }

@@ -11,8 +11,6 @@ use crate::entropy::RngCellSource;
 use crate::mechanism::{BatchCommands, TrngMechanism};
 use strange_dram::TCK_NS;
 
-const DEFAULT_CELLS: usize = 32_768;
-const PROFILE_READS: u32 = 128;
 const FILL_SWITCH: u64 = 2;
 const DEMAND_SWITCH: u64 = 40;
 
@@ -65,7 +63,7 @@ impl ThroughputTrng {
             }
         }
         ThroughputTrng {
-            source: RngCellSource::new(DEFAULT_CELLS, seed, PROFILE_READS),
+            source: RngCellSource::standard_die(seed),
             target_mbps,
             batch_bits: best.0,
             batch_latency: best.1,

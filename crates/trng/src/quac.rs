@@ -18,9 +18,6 @@
 use crate::entropy::RngCellSource;
 use crate::mechanism::{BatchCommands, TrngMechanism};
 
-const DEFAULT_CELLS: usize = 32_768;
-const PROFILE_READS: u32 = 128;
-
 /// The QUAC-TRNG mechanism model.
 ///
 /// # Examples
@@ -41,10 +38,11 @@ pub struct QuacTrng {
 }
 
 impl QuacTrng {
-    /// Creates a QUAC-TRNG instance over a fresh simulated die.
+    /// Creates a QUAC-TRNG instance sampling the simulated die whose
+    /// process variation `seed` selects.
     pub fn new(seed: u64) -> Self {
         QuacTrng {
-            source: RngCellSource::new(DEFAULT_CELLS, seed, PROFILE_READS),
+            source: RngCellSource::standard_die(seed),
             mix_state: seed ^ 0x6a09_e667_f3bc_c908, // SHA-256 H0 constant
         }
     }

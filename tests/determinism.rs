@@ -56,6 +56,33 @@ fn different_trng_seed_changes_values_not_timing() {
     assert_eq!(a.exec_cycles(1), b.exec_cycles(1));
 }
 
+/// Mechanisms built from one seed share one profiled die (strange-trng
+/// profiles a die once per process): a system must serve the same values
+/// whether its die was just profiled or recalled, and whatever another
+/// seed's system did in between.
+#[test]
+fn systems_over_a_shared_die_do_not_interact() {
+    let wl = &eval_pairs(5120)[10];
+    for mode in [SimMode::Reference, SimMode::FastForward] {
+        let run = |seed: u64| {
+            let cfg = SystemConfig::dr_strange(wl.cores())
+                .with_instruction_target(30_000)
+                .with_sim_mode(mode);
+            let mut sys = System::new(cfg, wl.traces(), Box::new(DRange::new(seed)))
+                .expect("valid configuration");
+            sys.set_value_log(true);
+            let res = sys.run();
+            (format!("{res:?}"), sys.mem().value_log().to_vec())
+        };
+        let first = run(7);
+        let other = run(8);
+        let again = run(7);
+        assert!(!first.1.is_empty(), "{mode:?}: the run served values");
+        assert_eq!(first, again, "{mode:?}: same seed, same run");
+        assert_ne!(first.1, other.1, "{mode:?}: another seed, other values");
+    }
+}
+
 #[test]
 fn mechanism_changes_timing_deterministically() {
     let wl = &eval_pairs(5120)[4];
