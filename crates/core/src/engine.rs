@@ -604,16 +604,23 @@ impl MemSubsystem {
     /// that [`MemSubsystem::skip_to`] replays in bulk.
     ///
     /// Composes, over the engine state and every channel: the end of a
-    /// demand-generation episode, due RNG completions, a non-empty RNG
-    /// queue (arbitration runs per-cycle), per-channel events
+    /// demand-generation episode, due RNG completions, per-channel events
     /// ([`ChannelController::next_event_at`]), fill-round completions,
     /// idle-period edges the predictive path has not yet processed, greedy
     /// threshold crossings, and the low-utilization retry pacing window.
     /// `u64::MAX` means no memory-side event bounds the skip.
+    ///
+    /// A non-empty Aware RNG queue pins `now` only while a tick could act
+    /// on it: with no episode in flight the Section 5.2 arbitration runs
+    /// per-cycle (the `Stability` / `KOrTimeout` coalescing window, the
+    /// starvation counter), and with buffered words the buffer serve
+    /// drains them. During an episode with an empty buffer both are
+    /// no-ops, so the queue waits for the bounds above.
     pub fn next_event_at(&self, now: u64) -> u64 {
-        // The RNG queue's arbitration (burst coalescing, starvation
-        // counter) runs every cycle while the queue is non-empty.
-        if self.config.routing == RngRouting::Aware && !self.rng_queue.is_empty() {
+        if self.config.routing == RngRouting::Aware
+            && !self.rng_queue.is_empty()
+            && (self.demand_finish.is_none() || self.buffer.available_words() > 0)
+        {
             return now;
         }
         let mut event = u64::MAX;
@@ -1115,8 +1122,9 @@ impl MemSubsystem {
             }
             // Hold for a k-deep burst, bounded by how long the oldest
             // request may wait (both checks run on the DRAM bus clock;
-            // the queue being non-empty pins the engine to live ticks,
-            // so the timeout is observed on its exact cycle).
+            // a non-empty queue with no episode in flight pins the engine
+            // to live ticks, so the timeout is observed on its exact
+            // cycle).
             CoalesceWindow::KOrTimeout { k, timeout } => {
                 self.rng_queue_len_last = self.rng_queue.len();
                 let oldest = self.rng_queue.front().expect("non-empty queue").arrival;
@@ -1187,10 +1195,10 @@ impl MemSubsystem {
     /// [`FairnessPolicy::WeightedFair`] a tenant's share of the episode is
     /// capped at `quantum × weight` words — a queue-hogging tenant cannot
     /// claim more of a shared mode switch than its weight entitles it to;
-    /// its excess requests stay queued for the next episode (the queue
-    /// remaining non-empty pins the engine to live ticks, so the deferral
-    /// is fast-forward safe). Every other policy drains the whole queue
-    /// (the paper's burst-sharing behavior).
+    /// its excess requests stay queued for the next episode (whose end is
+    /// a next-event bound, after which the non-empty queue pins live
+    /// ticks again, so the deferral is fast-forward safe). Every other
+    /// policy drains the whole queue (the paper's burst-sharing behavior).
     fn take_episode_batch(&mut self) -> Vec<Request> {
         let FairnessPolicy::WeightedFair { quantum } = self.config.fairness else {
             return self.rng_queue.drain(..).collect();

@@ -51,12 +51,14 @@
 //!   RNG blockade end, refresh deadline, earliest bank/rank/bus readiness
 //!   over queued requests), [`strange_cpu::Core::next_ready_cycle`]
 //!   (stall-until on outstanding misses, pure-compute bubble stretches),
-//!   and [`MemSubsystem::next_event_at`] (demand-episode boundaries, RNG
+//!   [`MemSubsystem::next_event_at`] (demand-episode boundaries, RNG
 //!   completions, fill rounds, greedy threshold crossings, unprocessed
-//!   idle-period edges, low-utilization pacing — plus every channel).
+//!   idle-period edges, low-utilization pacing — plus every channel),
+//!   and [`RngService::next_event_at`] (arrivals, untried queued words).
 //! * **Skip** — a bulk replay of the per-cycle accounting for a span the
 //!   caller proved dead: [`strange_dram::ChannelController::skip_to`],
-//!   [`strange_cpu::Core::skip_cycles`], [`MemSubsystem::skip_to`], and
+//!   [`strange_cpu::Core::skip_cycles`], [`MemSubsystem::skip_to`], the
+//!   service's blocked-cycle count, and
 //!   [`strange_dram::SchedulerPolicy::on_cycles_skipped`] for policies
 //!   with per-cycle state (BLISS's clearing interval). After a skip the
 //!   component must be indistinguishable from having ticked every cycle.

@@ -33,10 +33,11 @@
 //!   offered load above it.
 //!
 //! All three policies are deterministic functions of simulated state
-//! only, and their state (the DRR deficits) mutates exclusively at live
-//! decision cycles — cycles the fast-forward engine never skips — so
-//! `Reference` ≡ `FastForward` bit-identity holds for each
-//! (`tests/determinism.rs`).
+//! only, and their state (the DRR deficits) changes only at decision
+//! cycles the fast-forward engine ticks live — the back-pressured issue
+//! cycles it skips repeat a rejected pick→refund, which changes nothing
+//! after the first — so `Reference` ≡ `FastForward` bit-identity holds
+//! for each (`tests/determinism.rs`).
 
 use std::cmp::Reverse;
 
@@ -163,8 +164,9 @@ pub fn strict_pick(entries: impl IntoIterator<Item = (u8, u64, u64)>) -> Option<
 /// index).
 ///
 /// The state mutates only when [`DrrState::pick`] is called — i.e. at
-/// live decision cycles — so it is inert across fast-forwarded dead
-/// spans by construction.
+/// decision cycles — and a pick undone by [`DrrState::refund`] repeats
+/// as a no-op, so it is inert across fast-forwarded spans, blocked ones
+/// included.
 #[derive(Debug, Clone, Default)]
 pub struct DrrState {
     /// Per-tenant word credit, indexed by tenant id.
@@ -338,6 +340,31 @@ mod tests {
         let replay: Vec<usize> = (0..16).map(|_| charged.pick(&active, &quanta, 1)).collect();
         let expected: Vec<usize> = (0..16).map(|_| fresh.pick(&active, &quanta, 1)).collect();
         assert_eq!(replay, expected);
+    }
+
+    #[test]
+    fn drr_rejected_pick_is_a_fixed_point_after_the_first() {
+        // What lets fast-forward skip back-pressured cycles: the first
+        // rejected pick may move the state (a head-of-round refill, the
+        // cursor), but every further pick→refund over the same candidates
+        // lands on the same tenant and changes nothing — so N blocked
+        // cycles leave the schedule where one did.
+        let active = [0usize, 2, 5];
+        let quanta = [1u64, 2, 3];
+        for served in 0..12 {
+            let mut drr = DrrState::new();
+            for _ in 0..served {
+                drr.pick(&active, &quanta, 1);
+            }
+            let blocked = drr.pick(&active, &quanta, 1);
+            drr.refund(blocked, 1);
+            let (deficit, cursor) = (drr.deficit.clone(), drr.cursor);
+            for _ in 0..3 {
+                assert_eq!(drr.pick(&active, &quanta, 1), blocked, "after {served} served");
+                drr.refund(blocked, 1);
+                assert_eq!((&drr.deficit, drr.cursor), (&deficit, cursor), "after {served} served");
+            }
+        }
     }
 
     #[test]

@@ -513,6 +513,12 @@ pub struct RngService {
     /// The same membership in client-index order (the deficit-round-
     /// robin candidate order).
     active_by_index: BTreeSet<usize>,
+    /// The last `tick` ended with words held back by RNG back-pressure
+    /// and the active set has not been touched from outside `tick`
+    /// since. While it holds, only a live memory tick can turn the
+    /// rejection into an acceptance, so blocked cycles are skippable
+    /// ([`RngService::skip_cycles`] replays their accounting).
+    issue_blocked: bool,
     /// Clients whose termination targets are not yet met (O(1)
     /// [`RngService::targets_met`]).
     unmet: usize,
@@ -548,6 +554,7 @@ impl RngService {
             arrivals: RefCell::new(BinaryHeap::new()),
             active: BTreeSet::new(),
             active_by_index: BTreeSet::new(),
+            issue_blocked: false,
             unmet: 0,
             aging_scratch: Vec::new(),
             word_map: HashMap::new(),
@@ -600,6 +607,7 @@ impl RngService {
         self.stats.last_completion_by_client.push(0);
         self.note_open(id);
         self.track_completed_order = true;
+        self.issue_blocked = false;
         id
     }
 
@@ -619,6 +627,7 @@ impl RngService {
         if !was_met && self.clients[id].targets_met() {
             self.unmet -= 1;
         }
+        self.issue_blocked = false;
     }
 
     /// The OS priority level of a session's tenant.
@@ -754,17 +763,28 @@ impl RngService {
             self.unmet += 1;
         }
         self.activate(client);
+        // The issue candidates changed outside `tick`: run the next cycle
+        // live rather than argue that every policy's rejected attempt
+        // (the DRR pick→refund in particular) is still a fixed point.
+        self.issue_blocked = false;
         seq
     }
 
     /// The earliest CPU cycle at or after `now` at which the service could
-    /// do anything: `Some(now)` while any client holds unissued words
-    /// (issue retries run per-cycle under RNG-queue back-pressure),
-    /// otherwise the earliest scheduled arrival. `None` when fully
-    /// dormant — completions are bounded separately by the memory
-    /// subsystem's own next-event machinery.
+    /// do anything: `Some(now)` while a client holds unissued words whose
+    /// issue has not been tried against the current memory state (a fresh
+    /// arrival, or a submit / session open / close since the last tick),
+    /// otherwise the earliest scheduled arrival; `None` when dormant.
+    ///
+    /// Back-pressure is *not* a pin. Once a tick ends blocked, a rejected
+    /// `try_rng` can only flip to accepted at a live memory tick (Aware:
+    /// the buffer gains a word or the RNG queue shrinks; Oblivious: a
+    /// channel queue drains). The memory subsystem's own next-event
+    /// machinery bounds that tick, as it does completions; the caller
+    /// ticks the service on the same cycle and accounts the skipped ones
+    /// through [`RngService::skip_cycles`].
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        if !self.active.is_empty() {
+        if !self.active.is_empty() && !self.issue_blocked {
             return Some(now);
         }
         // Every live `next_arrival` has a matching heap entry, so the
@@ -778,6 +798,15 @@ impl RngService {
             heap.pop();
         }
         None
+    }
+
+    /// Bulk-applies the accounting of `n` skipped CPU cycles: each would
+    /// have re-tried the same rejected issue and counted one blocked
+    /// cycle (the caller guarantees the span holds no arrival).
+    pub(crate) fn skip_cycles(&mut self, n: u64) {
+        if self.issue_blocked {
+            self.stats.issue_blocked_cycles += n;
+        }
     }
 
     /// Advances the service by one CPU cycle: processes due arrivals for
@@ -875,6 +904,7 @@ impl RngService {
         if blocked {
             self.stats.issue_blocked_cycles += 1;
         }
+        self.issue_blocked = blocked;
         #[cfg(debug_assertions)]
         self.check_bookkeeping();
     }
@@ -978,8 +1008,8 @@ impl RngService {
             // The front of the issue queue always has at least one word
             // left (requests enter with >= 1 and are popped on reaching
             // zero), so admission can be tried before the in-flight
-            // lookup: under back-pressure — every cycle of a saturated
-            // run — this returns without touching the map at all.
+            // lookup: under back-pressure this returns without touching
+            // the map at all.
             let Some(id) = mem.try_rng(core) else {
                 return true;
             };

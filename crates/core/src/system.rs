@@ -188,6 +188,14 @@ impl System {
         self.skipped_cycles
     }
 
+    /// CPU cycles individually ticked so far: every cycle is either
+    /// ticked or skipped. Under [`SimMode::FastForward`] this should
+    /// scale with the number of simulated events, not cycles; tests gate
+    /// on it so a per-cycle polling pin cannot silently come back.
+    pub fn live_ticks(&self) -> u64 {
+        self.cpu_cycle - self.skipped_cycles
+    }
+
     /// Advances the system by `n` CPU cycles (test/diagnostic hook; `run`
     /// is the normal entry point).
     pub fn step_cpu_cycles(&mut self, n: u64) {
@@ -243,8 +251,10 @@ impl System {
                 }
             }
         }
-        // Service-client arrivals are CPU-cycle events; a client holding
-        // unissued words (RNG-queue back-pressure) retries every cycle.
+        // Service-client arrivals are CPU-cycle events, and so is the first
+        // issue attempt of freshly queued words. A back-pressured client
+        // does not pin the span: its retry can only succeed at a live
+        // memory tick, bounded below.
         if let Some(svc) = &self.service {
             match svc.next_event_at(now) {
                 Some(t) if t <= now => return now,
@@ -299,8 +309,7 @@ impl System {
     fn skip_to(&mut self, target: u64) {
         let now = self.cpu_cycle;
         debug_assert!(target > now);
-        // The service has no per-cycle accounting to replay; a dead span
-        // must simply not contain any of its events.
+        // A dead span must not contain any service event.
         debug_assert!(
             self.service
                 .as_ref()
@@ -316,6 +325,9 @@ impl System {
         }
         for core in &mut self.cores {
             core.skip_cycles(now, target - now);
+        }
+        if let Some(svc) = &mut self.service {
+            svc.skip_cycles(target - now);
         }
         self.skipped_cycles += target - now;
         self.cpu_cycle = target;

@@ -309,6 +309,7 @@ mod fastforward {
     mod service {
         use super::*;
         use dr_strange::core::{ServiceConfig, SystemConfig};
+        use dr_strange::trng::TrngMechanism;
         use dr_strange::workloads::{
             bursty_service, closed_loop_service, poisson_service,
         };
@@ -467,6 +468,225 @@ mod fastforward {
                     .with_service(with_requests(bursty_service(2, 24, 8, 9000, 48), true));
                 assert_modes_identical(cfg, wl, label);
             }
+        }
+
+        /// A coreless service run in `mode`: the result, the served
+        /// values, and the system for its tick counters.
+        fn run_coreless(
+            cfg: &SystemConfig,
+            mechanism: &dyn Fn() -> Box<dyn TrngMechanism>,
+            mode: SimMode,
+        ) -> (RunResult, Vec<u64>, System) {
+            let mut sys = System::new(cfg.clone().with_sim_mode(mode), Vec::new(), mechanism())
+                .expect("valid configuration");
+            sys.set_value_log(true);
+            let res = sys.run();
+            let values = sys.mem().value_log().to_vec();
+            (res, values, sys)
+        }
+
+        /// Both modes on a back-pressured coreless run: bit-identical in
+        /// the full result rendering (every statistic incl. the latency
+        /// log and `issue_blocked_cycles`), the run really was blocked,
+        /// and fast-forward really skipped.
+        fn assert_saturated_modes_identical(
+            cfg: SystemConfig,
+            mechanism: &dyn Fn() -> Box<dyn TrngMechanism>,
+            label: &str,
+        ) -> (RunResult, System) {
+            let (reference, ref_values, ref_sys) = run_coreless(&cfg, mechanism, SimMode::Reference);
+            let (fast, fast_values, fast_sys) = run_coreless(&cfg, mechanism, SimMode::FastForward);
+            assert_eq!(ref_sys.skipped_cycles(), 0, "{label}: reference must not skip");
+            assert!(fast_sys.skipped_cycles() > 0, "{label}: fast-forward must skip");
+            assert!(!fast.hit_cycle_limit, "{label}: targets must be met");
+            let blocked = |r: &RunResult| r.service.as_ref().expect("service stats").issue_blocked_cycles;
+            assert!(blocked(&fast) > 0, "{label}: run was never back-pressured");
+            assert_eq!(
+                blocked(&fast),
+                blocked(&reference),
+                "{label}: skipped blocked cycles must still be counted"
+            );
+            assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{label}: full run result");
+            assert_eq!(fast_values, ref_values, "{label}: served random values");
+            (fast, fast_sys)
+        }
+
+        fn drange() -> Box<dyn TrngMechanism> {
+            Box::new(DRange::new(3))
+        }
+
+        /// Enough closed-loop 256-byte aggressors to hold more words than
+        /// either design can queue (Aware: the 32-entry RNG queue;
+        /// Oblivious: 4 x 32 read-queue slots), a bursty Normal tenant so
+        /// arrivals land inside blocked spans, and a Low tenant.
+        fn queue_filling_service(requests: u64) -> ServiceConfig {
+            use dr_strange::core::{ClientSpec, QosClass};
+            let mut clients: Vec<ClientSpec> = (0..6)
+                .map(|_| ClientSpec::closed_loop(256, 200, requests).with_qos(QosClass::High))
+                .collect();
+            clients.push(ClientSpec::bursty(64, 3, 7_001, 2 * requests).with_qos(QosClass::Normal));
+            clients.push(ClientSpec::closed_loop(64, 2_000, requests).with_qos(QosClass::Low));
+            ServiceConfig {
+                clients,
+                capture_values: true,
+                ..ServiceConfig::default()
+            }
+        }
+
+        #[test]
+        fn saturated_modes_identical_across_policy_routing_and_window() {
+            // Back-pressure is skipped, not ticked: every fairness policy
+            // (the issue order under rejection), both routings (what a
+            // rejection waits on) and both coalescing windows (when the
+            // queue drains) must account the skipped blocked cycles
+            // exactly as the per-cycle reference does.
+            use dr_strange::core::{CoalesceWindow, FairnessPolicy, RngRouting};
+            let policies = [
+                FairnessPolicy::Strict,
+                FairnessPolicy::aging(),
+                FairnessPolicy::adaptive_aging(),
+                FairnessPolicy::weighted_fair(),
+            ];
+            let windows = [
+                CoalesceWindow::Stability,
+                CoalesceWindow::KOrTimeout { k: 6, timeout: 300 },
+            ];
+            for policy in policies {
+                for routing in [RngRouting::Aware, RngRouting::Oblivious] {
+                    for window in windows {
+                        let base = match routing {
+                            RngRouting::Aware => SystemConfig::dr_strange(0),
+                            RngRouting::Oblivious => SystemConfig::rng_oblivious(0),
+                        };
+                        let cfg = base
+                            .with_fairness(policy)
+                            .with_coalesce_window(window)
+                            .with_service(queue_filling_service(3));
+                        let label = format!("saturated {policy:?}/{routing:?}/{window:?}");
+                        assert_saturated_modes_identical(cfg, &drange, &label);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn saturated_quac_surplus_lands_in_buffer_while_requests_queue() {
+            // The one state in which the engine must keep ticking live
+            // during an episode: RNG queue non-empty, episode in flight
+            // *and* buffered words to serve it from. WFQ with quantum 1
+            // caps a Low tenant at one word per episode, so client 0's 32
+            // words fill the queue, the first episode takes one and defers
+            // 31, and its QUAC-TRNG round (1024 bits for 64 demanded)
+            // leaves 15 surplus words in the buffer. The back-pressured
+            // client 1 takes 8 of them on the fast path that cycle; the
+            // rest must go to queued requests on the very next memory
+            // tick, not at the end of the episode.
+            use dr_strange::core::{ClientSpec, FairnessPolicy, QosClass};
+            let low = |bytes| ClientSpec::trace_replay(bytes, vec![0]).with_qos(QosClass::Low);
+            let cfg = SystemConfig::dr_strange(0)
+                .with_buffer_entries(16)
+                .with_prefill_buffer(false)
+                .with_fairness(FairnessPolicy::WeightedFair { quantum: 1 })
+                .with_service(ServiceConfig {
+                    clients: vec![low(256), low(64)],
+                    capture_values: true,
+                    ..ServiceConfig::default()
+                });
+            let quac = || -> Box<dyn TrngMechanism> { Box::new(QuacTrng::new(3)) };
+            let (fast, _) = assert_saturated_modes_identical(cfg, &quac, "saturated quac");
+            assert!(fast.stats.demand_batch_deferrals > 0, "requests stayed queued");
+            assert!(
+                fast.stats.rng_served_from_buffer > 8,
+                "surplus words reached queued requests, not only the fast path"
+            );
+        }
+
+        #[test]
+        fn saturated_live_ticks_scale_with_events_not_cycles() {
+            // The structural gate on the back-pressure contract: a
+            // saturated run's live ticks are O(requests + words), not
+            // O(cycles). A per-cycle retry pin (service or engine side)
+            // fails both bounds by an order of magnitude.
+            use dr_strange::workloads::contended_qos_service;
+            let cfg = SystemConfig::dr_strange(0)
+                .with_fairness(dr_strange::core::FairnessPolicy::aging())
+                .with_service(contended_qos_service(64, 12));
+            let (fast, sys) = assert_saturated_modes_identical(cfg, &drange, "saturated gate");
+            let svc = fast.service.as_ref().expect("service stats");
+            let events = svc.requests_offered + svc.words_issued;
+            assert!(
+                sys.live_ticks() <= 8 * events,
+                "{} live ticks for {events} events",
+                sys.live_ticks()
+            );
+            assert!(
+                sys.skipped_cycles() * 10 >= fast.cpu_cycles * 9,
+                "skipped {} of {} cycles",
+                sys.skipped_cycles(),
+                fast.cpu_cycles
+            );
+        }
+
+        #[test]
+        fn external_mutation_while_blocked_is_bit_identical_across_modes() {
+            // Manual WFQ sessions driven from outside the run loop:
+            // submits, a session open and a session close all land while
+            // the service is back-pressured, at cycles that are not memory
+            // ticks. Each touches the issue candidates outside `tick`, so
+            // the service drops its blocked-span claim and the next cycle
+            // runs live; the skipped spans on either side must still add
+            // up to the reference's schedule and blocked-cycle count.
+            use dr_strange::core::{ClientSpec, FairnessPolicy, QosClass};
+            let run = |mode: SimMode| {
+                let cfg = SystemConfig::dr_strange(0)
+                    .with_fairness(FairnessPolicy::weighted_fair())
+                    .with_prefill_buffer(false)
+                    .with_service(ServiceConfig {
+                        sessions: true,
+                        ..ServiceConfig::default()
+                    })
+                    .with_sim_mode(mode);
+                let mut sys =
+                    System::new(cfg, Vec::new(), drange()).expect("valid configuration");
+                let blocked = |s: &System| s.service().expect("service").stats().issue_blocked_cycles;
+                let high = sys.open_session(ClientSpec::manual(256).with_qos(QosClass::High));
+                let low = sys.open_session(ClientSpec::manual(256).with_qos(QosClass::Low));
+                let mut order = Vec::new();
+                let drain = |sys: &mut System, order: &mut Vec<(usize, u64, u64)>| {
+                    while let Some((session, seq, served)) = sys.take_service_completion() {
+                        order.push((session, seq, served.latency_cycles));
+                    }
+                };
+                // 3 x 32 words against a 32-entry queue: blocked at once.
+                sys.service_submit(high, 256);
+                sys.service_submit(high, 256);
+                sys.service_submit(low, 256);
+                sys.advance_until(700, |_| false);
+                assert!(blocked(&sys) > 0, "{mode:?}: sessions must be back-pressured");
+                // Mutations at cycles that are not memory ticks, mid-episode.
+                sys.service_submit(low, 64);
+                sys.advance_until(333, |_| false);
+                let late = sys.open_session(ClientSpec::manual(128).with_qos(QosClass::Normal));
+                sys.service_submit(late, 128);
+                sys.advance_until(1_111, |_| false);
+                drain(&mut sys, &mut order);
+                let before_close = blocked(&sys);
+                sys.close_session(low);
+                sys.service_submit_at(high, 96, sys.cpu_cycles() - 40);
+                sys.advance_until(2_000_000, |s| s.service().expect("service").in_flight() == 0);
+                assert!(blocked(&sys) > before_close, "{mode:?}: still blocked after the close");
+                drain(&mut sys, &mut order);
+                assert_eq!(order.len(), 6, "{mode:?}: every request completed");
+                let stats = sys.service().expect("service").stats().clone();
+                (order, stats, sys.cpu_cycles(), sys.skipped_cycles())
+            };
+            let (ref_order, ref_stats, ref_cycles, ref_skipped) = run(SimMode::Reference);
+            let (fast_order, fast_stats, fast_cycles, fast_skipped) = run(SimMode::FastForward);
+            assert_eq!(ref_skipped, 0);
+            assert!(fast_skipped > 0, "fast-forward must skip blocked spans");
+            assert_eq!(fast_order, ref_order, "completion order and latencies");
+            assert_eq!(fast_cycles, ref_cycles);
+            assert_eq!(fast_stats, ref_stats, "latency log, blocked cycles and the rest");
         }
 
         #[test]
