@@ -11,6 +11,16 @@
 //! the synchronous `ServiceConfig` closed-loop run (stats including the
 //! per-request latency log, plus the served words).
 //!
+//! A final churn cell opens, uses and closes 16 000 sessions one after
+//! the other on a single server and compares the per-session wall time
+//! of the last 2 000 with the first 2 000: the driver, `open_session`
+//! and the engine's priority check keep maintained values instead of
+//! scanning every session ever opened, so the ratio must stay under
+//! 2.0. Run it pinned (`taskset -c 0 cargo bench --bench server_load`,
+//! as CI does): on one CPU the scanning code read 4.3–4.7 and this code
+//! reads 1.0; unpinned, cross-core wake-ups put ~90 µs under every
+//! session, the scanning code read 1.2, and the gate can only pass.
+//!
 //! Emits `BENCH_server.json` (working directory, or `$BENCH_SERVER_OUT`).
 //! Requests per session come from `STRANGE_SERVER_REQUESTS` (default
 //! 150).
@@ -126,6 +136,56 @@ fn assert_async_equals_sync(requests: u64) {
     );
 }
 
+const CHURN_SESSIONS: usize = 16_000;
+const CHURN_WINDOW: usize = 2_000;
+const CHURN_ROUNDS: usize = 3;
+const CHURN_MAX_GROWTH: f64 = 2.0;
+/// Short think time on the fast mechanism: little simulated work per
+/// call, so per-session host overhead is what the windows time.
+const CHURN_THINK: u64 = 2_000;
+
+/// One churn round: `CHURN_SESSIONS` × (open, two 32-byte calls, close)
+/// from one thread. Returns the host µs of one session among the first
+/// and among the last `CHURN_WINDOW` sessions, each as its window's
+/// lowest decile: a cost that grows with the session count is paid by
+/// every session, so it lifts the floor, while the cross-core wake-ups
+/// an unpinned closed loop suffers in stretches (up to 5× the wall time)
+/// only lift the mean.
+fn churn_round() -> (f64, f64) {
+    let server = RngServer::start(server_system(Mechanism::Quac), Pacing::Virtual);
+    let mut buf = [0u8; BYTES_PER_REQUEST];
+    let mut session_us = Vec::with_capacity(CHURN_SESSIONS);
+    for _ in 0..CHURN_SESSIONS {
+        let start = Instant::now();
+        let mut h = server.open_session(ClientSpec::manual(BYTES_PER_REQUEST));
+        h.getrandom(&mut buf, CHURN_THINK);
+        h.getrandom(&mut buf, CHURN_THINK);
+        h.close();
+        session_us.push(start.elapsed().as_secs_f64() * 1e6);
+    }
+    let report = server.shutdown();
+    assert_eq!(report.sessions, CHURN_SESSIONS);
+    assert_eq!(report.stats.requests_completed, 2 * CHURN_SESSIONS as u64);
+    let low_decile = |window: &mut [f64]| {
+        window.sort_unstable_by(f64::total_cmp);
+        window[window.len() / 10]
+    };
+    (
+        low_decile(&mut session_us[..CHURN_WINDOW]),
+        low_decile(&mut session_us[CHURN_SESSIONS - CHURN_WINDOW..]),
+    )
+}
+
+/// Minimum over `CHURN_ROUNDS` rounds of each window (host noise only
+/// ever adds time), as `(first µs, last µs)`.
+fn churn_growth() -> (f64, f64) {
+    (0..CHURN_ROUNDS)
+        .map(|_| churn_round())
+        .fold((f64::MAX, f64::MAX), |(first, last), (f, l)| {
+            (first.min(f), last.min(l))
+        })
+}
+
 struct Cell {
     mech: &'static str,
     threads: usize,
@@ -191,10 +251,22 @@ fn main() {
         }
     }
 
+    let (churn_first_us, churn_last_us) = churn_growth();
+    let churn_ratio = churn_last_us / churn_first_us;
+    println!(
+        "\nsession churn: {CHURN_SESSIONS} x (open, 2 calls, close), min of {CHURN_ROUNDS} rounds, \
+         lowest-decile us/session: first {CHURN_WINDOW} {churn_first_us:.1}, last {CHURN_WINDOW} \
+         {churn_last_us:.1}, growth {churn_ratio:.2}x (gate {CHURN_MAX_GROWTH})"
+    );
+
     let json = format!(
         "{{\n  \"bytes_per_request\": {BYTES_PER_REQUEST},\n  \
          \"requests_per_session\": {requests},\n  \"pacing\": \"virtual\",\n  \
-         \"latency_unit\": \"cpu_cycles_at_4ghz\",\n  \"cells\": [\n{}\n  ]\n}}\n",
+         \"latency_unit\": \"cpu_cycles_at_4ghz\",\n  \"churn\": {{\"sessions\": {CHURN_SESSIONS}, \
+         \"window\": {CHURN_WINDOW}, \"rounds\": {CHURN_ROUNDS}, \
+         \"first_us_per_session\": {churn_first_us:.2}, \
+         \"last_us_per_session\": {churn_last_us:.2}, \"growth_ratio\": {churn_ratio:.3}, \
+         \"max_growth_ratio\": {CHURN_MAX_GROWTH}}},\n  \"cells\": [\n{}\n  ]\n}}\n",
         cells
             .iter()
             .map(|c| {
@@ -221,4 +293,9 @@ fn main() {
         std::env::var("BENCH_SERVER_OUT").unwrap_or_else(|_| "BENCH_server.json".to_string());
     std::fs::write(&out, json).expect("write benchmark json");
     println!("\nwrote {out}");
+    assert!(
+        churn_ratio <= CHURN_MAX_GROWTH,
+        "per-session cost grew {churn_ratio:.2}x over {CHURN_SESSIONS} sessions \
+         (gate {CHURN_MAX_GROWTH}x): something scans the session population again"
+    );
 }

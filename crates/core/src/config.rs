@@ -381,8 +381,8 @@ impl SystemConfig {
         if clients.is_empty() || self.priorities.len() >= full {
             return;
         }
-        if clients.iter().all(|c| c.qos == QosClass::Normal)
-            && self.priorities.len() <= self.cores
+        if self.priorities.len() <= self.cores
+            && clients.iter().all(|c| c.qos == QosClass::Normal)
         {
             return;
         }

@@ -181,6 +181,11 @@ struct ChanFill {
     last_low_util_end: u64,
 }
 
+/// Priority entries that differ from the default level 1.
+fn count_nondefault(priorities: &[u8]) -> usize {
+    priorities.iter().filter(|&&p| p != 1).count()
+}
+
 /// The memory subsystem: everything below the cores.
 pub struct MemSubsystem {
     config: SystemConfig,
@@ -239,6 +244,11 @@ pub struct MemSubsystem {
     /// for every client.
     rng_rejecting: bool,
     rng_app: Vec<bool>,
+    /// Entries of `config.priorities` that differ from the default level
+    /// 1, maintained by `new` / `register_client` (the only writers) so
+    /// the buffer-serve path does not rescan one byte per session ever
+    /// opened.
+    nondefault_priorities: usize,
     /// Due RNG completion bursts (see [`RngBurst`]). With
     /// `config.burst_events` off, every entry is its own single-event
     /// burst — the legacy per-request event granularity.
@@ -331,6 +341,7 @@ impl MemSubsystem {
             rng_rejecting: false,
             // Virtual cores above the real ones address service clients.
             rng_app: vec![false; config.cores + config.service.clients.len()],
+            nondefault_priorities: count_nondefault(&config.priorities),
             rng_done: BinaryHeap::new(),
             burst_seq: 0,
             burst_pool: Vec::new(),
@@ -396,14 +407,22 @@ impl MemSubsystem {
             // Indices below the new client keep the unset-default level.
             self.config.priorities.resize(core + 1, 1);
         }
-        self.config.priorities[core] = priority;
+        let slot = &mut self.config.priorities[core];
+        self.nondefault_priorities -= usize::from(*slot != 1);
+        self.nondefault_priorities += usize::from(priority != 1);
+        *slot = priority;
     }
 
     /// Whether any configured priority differs from the default level 1
     /// (gates the priority-ordered buffer-serve scan; with uniform
     /// priorities FIFO order is already priority order).
     fn priorities_differentiate(&self) -> bool {
-        self.config.priorities.iter().any(|&p| p != 1)
+        debug_assert_eq!(
+            self.nondefault_priorities,
+            count_nondefault(&self.config.priorities),
+            "non-default priority count out of step with the vector"
+        );
+        self.nondefault_priorities > 0
     }
 
     /// Whether channel `i`'s TRNG cells are out at `now` (excluded from
@@ -1652,6 +1671,36 @@ impl MemorySystem for MemSubsystem {
                 self.stats.rng_requests += 1;
                 self.rng_queue.push_back(req);
                 Some(id)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use strange_trng::DRange;
+
+    proptest! {
+        /// The maintained non-default-priority count equals a scan of the
+        /// priority vector after every `register_client`, including
+        /// re-registering an existing core at a different level and
+        /// registering past the end (the gap is filled with level 1).
+        #[test]
+        fn nondefault_priority_count_matches_scan(
+            configured in proptest::collection::vec(0u8..4, 0..4),
+            registrations in proptest::collection::vec((0usize..24, 0u8..4), 0..48),
+        ) {
+            let config = SystemConfig::dr_strange(2).with_priorities(configured);
+            let mut mem = MemSubsystem::new(config, Box::new(DRange::new(1)));
+            let scan = |m: &MemSubsystem| count_nondefault(&m.config.priorities);
+            prop_assert_eq!(mem.nondefault_priorities, scan(&mem));
+            for (core, priority) in registrations {
+                mem.register_client(core, priority);
+                prop_assert_eq!(mem.config.priorities[core], priority);
+                prop_assert_eq!(mem.nondefault_priorities, scan(&mem));
+                prop_assert_eq!(mem.priorities_differentiate(), scan(&mem) > 0);
             }
         }
     }

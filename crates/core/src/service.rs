@@ -522,6 +522,9 @@ pub struct RngService {
     /// Clients whose termination targets are not yet met (O(1)
     /// [`RngService::targets_met`]).
     unmet: usize,
+    /// Requests arrived and not yet fully served, over all clients (O(1)
+    /// [`RngService::in_flight`]).
+    requests_in_flight: usize,
     /// Scratch for the aging-policy per-tick re-sort (reused so a busy
     /// tick allocates nothing).
     aging_scratch: Vec<(Reverse<u64>, u64, usize)>,
@@ -556,6 +559,7 @@ impl RngService {
             active_by_index: BTreeSet::new(),
             issue_blocked: false,
             unmet: 0,
+            requests_in_flight: 0,
             aging_scratch: Vec::new(),
             word_map: HashMap::new(),
             captured: Vec::new(),
@@ -679,7 +683,15 @@ impl RngService {
 
     /// Requests currently in flight (arrived, not yet fully served).
     pub fn in_flight(&self) -> usize {
-        self.clients.iter().map(|c| c.in_flight.len()).sum()
+        debug_assert_eq!(
+            self.requests_in_flight,
+            self.clients
+                .iter()
+                .map(|c| c.in_flight.len())
+                .sum::<usize>(),
+            "in-flight counter out of sync"
+        );
+        self.requests_in_flight
     }
 
     /// Whether a specific request has completed (manual clients).
@@ -759,6 +771,7 @@ impl RngService {
             },
         );
         c.issue_queue.push_back(seq);
+        self.requests_in_flight += 1;
         if was_met {
             self.unmet += 1;
         }
@@ -919,6 +932,7 @@ impl RngService {
         }
         let unmet = self.clients.iter().filter(|c| !c.targets_met()).count();
         debug_assert_eq!(self.unmet, unmet, "unmet-target counter out of sync");
+        self.in_flight(); // asserts its counter against the per-client sum
         debug_assert_eq!(self.active.len(), self.active_by_index.len());
         for (ci, c) in self.clients.iter().enumerate() {
             debug_assert_eq!(
@@ -985,6 +999,7 @@ impl RngService {
                     },
                 );
                 c.issue_queue.push_back(seq);
+                self.requests_in_flight += 1;
                 self.stats.requests_offered += 1;
             }
             let c = &mut self.clients[ci];
@@ -1126,6 +1141,7 @@ impl RngService {
             .in_flight
             .remove(&seq)
             .expect("request present");
+        self.requests_in_flight -= 1;
         if self.capture {
             self.captured.extend_from_slice(&req.words);
         }

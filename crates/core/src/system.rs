@@ -13,7 +13,7 @@ use strange_trng::TrngMechanism;
 
 use crate::config::{SimMode, SystemConfig};
 use crate::engine::{Completion, MemSubsystem};
-use crate::service::{ClientSpec, RngService, ServedRequest, ServiceStats};
+use crate::service::{ClientSpec, QosClass, RngService, ServedRequest, ServiceStats};
 use crate::stats::SystemStats;
 
 /// How often the run loop re-checks whether every core has finished (in
@@ -430,7 +430,24 @@ impl System {
         self.mem.register_client(base + id, priority);
         // Keep the System's own config view consistent with the live
         // session set (priorities + client list).
+        let normal = spec.qos == QosClass::Normal;
         self.config.service.clients.push(spec);
+        if normal && self.config.priorities.len() <= base {
+            // Unset priorities and one more Normal tenant is the state
+            // `materialize_client_priorities` leaves as it is — it has
+            // run after every earlier open, so no earlier client can be
+            // non-Normal — and re-proving that would rescan every
+            // session ever opened on each open.
+            debug_assert!(
+                self.config
+                    .service
+                    .clients
+                    .iter()
+                    .all(|c| c.qos == QosClass::Normal),
+                "unset priorities with a non-Normal tenant"
+            );
+            return id;
+        }
         self.config.materialize_client_priorities();
         if self.config.priorities.len() > base + id {
             self.config.priorities[base + id] = priority;
@@ -838,6 +855,54 @@ mod tests {
         assert_eq!(a.exec_cycles(0), b.exec_cycles(0));
         assert_eq!(a.stats.rng_requests, b.stats.rng_requests);
         assert_eq!(a.stats.fill_batches, b.stats.fill_batches);
+    }
+
+    /// `open_session` keeps `config().priorities` equal to what a
+    /// from-scratch `materialize_client_priorities` over the same client
+    /// list produces, including on the path that skips materializing.
+    #[test]
+    fn dynamic_opens_keep_priorities_equal_to_a_fresh_materialize() {
+        use crate::service::ServiceConfig;
+        use QosClass::{High, Low, Normal};
+        let check = |cores: usize, configured: &[QosClass], opened: &[QosClass]| {
+            let spec = |q: &QosClass| ClientSpec::manual(8).with_qos(*q);
+            let cfg = SystemConfig::dr_strange(cores).with_service(ServiceConfig {
+                clients: configured.iter().map(spec).collect(),
+                sessions: true,
+                ..ServiceConfig::default()
+            });
+            let traces = (0..cores).map(|_| rng_trace(150)).collect();
+            let mut sys = System::new(cfg.clone(), traces, Box::new(DRange::new(1))).unwrap();
+            let mut fresh = cfg;
+            for q in opened {
+                sys.open_session(spec(q));
+                fresh.service.clients.push(spec(q));
+            }
+            fresh.materialize_client_priorities();
+            assert_eq!(sys.config().priorities, fresh.priorities);
+            sys.config().priorities.clone()
+        };
+        for cores in [0, 2] {
+            // All Normal: stays unset.
+            assert!(check(cores, &[], &[Normal; 40]).is_empty());
+            // Many Normal, then the first High: every earlier slot is
+            // back-filled with the default level.
+            let mut late_high = vec![Normal; 40];
+            late_high.push(High);
+            late_high.extend([Normal, Low]);
+            let p = check(cores, &[], &late_high);
+            assert_eq!(p.len(), cores + 43);
+            assert!(p[..cores + 40].iter().all(|&l| l == 1));
+            assert_eq!(p[cores + 40], High.priority());
+            assert_eq!(p[cores + 42], Low.priority());
+            // Configured non-Normal clients, then dynamic Normal ones.
+            let p = check(cores, &[High, Low], &[Normal; 5]);
+            assert_eq!(p.len(), cores + 7);
+            assert_eq!(p[cores], High.priority());
+            assert!(p[cores + 2..].iter().all(|&l| l == 1));
+            // Configured Normal clients (unset at construction).
+            check(cores, &[Normal; 3], &[Normal, High]);
+        }
     }
 
     #[test]

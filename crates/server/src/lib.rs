@@ -676,7 +676,9 @@ impl Drop for RngServer {
 
 /// Driver-side session state.
 struct Sess {
-    tx: Sender<SubmitOutcome>,
+    /// Completion channel; `None` once the session is closed, so the
+    /// channel's buffer is returned at close rather than at shutdown.
+    tx: Option<Sender<SubmitOutcome>>,
     /// Cycle the session last became free: its open cycle, then the
     /// resolution cycle of each request (completion, shed, or timeout).
     release: u64,
@@ -715,6 +717,27 @@ impl Sess {
     /// in flight) that later submits must chain behind.
     fn busy(&self) -> bool {
         self.in_flight > 0 || self.scheduled > 0 || !self.pending.is_empty()
+    }
+
+    /// Whether the session holds the virtual-time barrier.
+    fn gates(&self) -> bool {
+        self.awaiting || self.owed > 0
+    }
+
+    /// The only writer of `awaiting` / `owed` after open: keeps the
+    /// driver's `gating` count equal to the number of sessions that
+    /// [`Sess::gates`].
+    fn set_gate(&mut self, gating: &mut usize, awaiting: bool, owed: u32) {
+        *gating -= usize::from(self.gates());
+        self.awaiting = awaiting;
+        self.owed = owed;
+        *gating += usize::from(self.gates());
+    }
+
+    /// Sends an outcome to the session's handle; false when the handle
+    /// is gone (dropped, or the session closed).
+    fn send(&self, outcome: SubmitOutcome) -> bool {
+        self.tx.as_ref().is_some_and(|tx| tx.send(outcome).is_ok())
     }
 }
 
@@ -803,6 +826,10 @@ struct Driver {
     /// system built with configured service clients hands out ids
     /// starting past them).
     sessions: Vec<Sess>,
+    /// Sessions holding the virtual-time barrier (`Sess::gates`),
+    /// maintained by `Sess::set_gate` so the driver loop does not scan
+    /// every session ever opened on each turn.
+    gating: usize,
     /// Service client id of the first driver-opened session.
     id_base: Option<usize>,
     /// Scheduled arrivals min-heap (see [`SchedEntry`]).
@@ -830,6 +857,7 @@ impl Driver {
             pacing,
             observer,
             sessions: Vec::new(),
+            gating: 0,
             id_base: None,
             schedule: BinaryHeap::new(),
             inflight: HashMap::new(),
@@ -864,8 +892,8 @@ impl Driver {
                 let base = *self.id_base.get_or_insert(id);
                 debug_assert_eq!(id, base + self.sessions.len(), "driver-contiguous ids");
                 let now = self.sys.cpu_cycles();
-                self.sessions.push(Sess {
-                    tx: completions,
+                let sess = Sess {
+                    tx: Some(completions),
                     release: now,
                     in_flight: 0,
                     scheduled: 0,
@@ -877,7 +905,9 @@ impl Driver {
                     owed: 0,
                     interactive,
                     closed: false,
-                });
+                };
+                self.gating += usize::from(sess.gates());
+                self.sessions.push(sess);
                 let _ = reply.send(id);
             }
             Ctl::Submit {
@@ -892,7 +922,7 @@ impl Driver {
                 let sess = &mut self.sessions[slot];
                 assert!(!sess.closed, "submit on a closed session");
                 assert!(!sess.pipelined, "closed-loop submit on a pipelined session");
-                sess.awaiting = false;
+                sess.set_gate(&mut self.gating, false, sess.owed);
                 // Virtual pacing: a session with any committed request
                 // chains later submits behind it in FIFO order — whether
                 // the driver has drained one or two control messages when
@@ -919,7 +949,7 @@ impl Driver {
                 let sess = &mut self.sessions[slot];
                 assert!(!sess.closed, "submit on a closed session");
                 assert!(!sess.pipelined, "burst submit on a pipelined session");
-                sess.awaiting = false;
+                sess.set_gate(&mut self.gating, false, sess.owed);
                 // Anchor the burst deterministically: a free session is
                 // behind the virtual-time barrier (now is a pure function
                 // of prior simulated work), a busy one anchors at its
@@ -950,8 +980,7 @@ impl Driver {
                     sess.interactive,
                     "pipelined submit on an autonomous session"
                 );
-                sess.awaiting = false;
-                sess.owed = sess.owed.saturating_sub(1);
+                sess.set_gate(&mut self.gating, false, sess.owed.saturating_sub(1));
                 sess.pipelined = true;
                 // Chain off the previous *arrival* (the open cycle before
                 // any): an arithmetic arrival series independent of
@@ -973,8 +1002,7 @@ impl Driver {
             Ctl::Ack { session } => {
                 let slot = self.slot(session);
                 let sess = &mut self.sessions[slot];
-                sess.awaiting = false;
-                sess.owed = sess.owed.saturating_sub(1);
+                sess.set_gate(&mut self.gating, false, sess.owed.saturating_sub(1));
             }
             Ctl::Close { session } => self.close_session(session),
             Ctl::Shutdown => self.shutdown = true,
@@ -1003,9 +1031,9 @@ impl Driver {
             return;
         }
         sess.closed = true;
-        sess.awaiting = false;
-        sess.owed = 0;
-        sess.pending.clear();
+        sess.set_gate(&mut self.gating, false, 0);
+        sess.tx = None;
+        sess.pending = VecDeque::new();
         if sess.scheduled > 0 {
             sess.scheduled = 0;
             let entries = std::mem::take(&mut self.schedule).into_vec();
@@ -1128,35 +1156,14 @@ impl Driver {
     /// — the same continuation a completion runs, so closed-loop tenants
     /// keep flowing through refusals.
     fn resolve_rejected(&mut self, slot: usize, outcome: SubmitOutcome) {
-        let now = self.sys.cpu_cycles();
-        let virtual_pacing = self.virtual_pacing();
-        let session = self.id_base.expect("session open implies base") + slot;
         let sess = &mut self.sessions[slot];
         sess.scheduled -= 1;
-        sess.release = now;
-        if sess.tx.send(outcome).is_err() {
-            self.close_session(session);
-            return;
-        }
-        if sess.pipelined {
-            // Pipelined per-delivery barrier: the client owes one
-            // reaction (chained submit, ack, or close) per outcome.
-            if virtual_pacing {
-                sess.owed += 1;
-            }
-        } else if let Some((bytes, delay, deadline)) = sess.pending.pop_front() {
-            let arrival = (sess.release + delay).max(now);
-            self.schedule_arrival(slot, arrival, bytes, deadline);
-        } else if sess.interactive && !sess.closed && !sess.busy() {
-            sess.awaiting = virtual_pacing;
-        }
+        sess.release = self.sys.cpu_cycles();
+        self.hand_over(slot, outcome);
     }
 
     /// Drains every pending completion to its session channel, chaining
-    /// queued submits. A send failure means the handle was dropped
-    /// without closing; treating the session as closed right here is
-    /// what keeps the virtual-time barrier from waiting forever on a
-    /// submitter that no longer exists.
+    /// queued submits.
     fn deliver(&mut self) {
         while let Some((session, seq, served)) = self.sys.take_service_completion() {
             let flight = self
@@ -1164,8 +1171,6 @@ impl Driver {
                 .remove(&(session, seq))
                 .expect("every in-flight request is tracked");
             let done_at = flight.arrival + served.latency_cycles;
-            let virtual_pacing = self.virtual_pacing();
-            let now = self.sys.cpu_cycles();
             let slot = self.slot(session);
             let sess = &mut self.sessions[slot];
             sess.in_flight -= 1;
@@ -1180,21 +1185,38 @@ impl Driver {
             } else {
                 SubmitOutcome::Served(served)
             };
-            let receiver_alive = sess.tx.send(outcome).is_ok();
-            if !receiver_alive {
-                self.close_session(session);
-                continue;
+            self.hand_over(slot, outcome);
+        }
+    }
+
+    /// Sends a resolved request's outcome to its session and runs the
+    /// session's continuation: a pipelined session owes one reaction, a
+    /// closed-loop one chains its next queued submit or, with nothing
+    /// left, holds the barrier until the client decides. A send failure
+    /// means the handle was dropped without closing (or the session is
+    /// closed); treating the session as closed right here is what keeps
+    /// the virtual-time barrier from waiting forever on a submitter that
+    /// no longer exists.
+    fn hand_over(&mut self, slot: usize, outcome: SubmitOutcome) {
+        let now = self.sys.cpu_cycles();
+        let virtual_pacing = self.virtual_pacing();
+        let sess = &mut self.sessions[slot];
+        if !sess.send(outcome) {
+            let session = self.id_base.expect("session open implies base") + slot;
+            self.close_session(session);
+            return;
+        }
+        if sess.pipelined {
+            // Pipelined per-delivery barrier: the client owes one
+            // reaction (chained submit, ack, or close) per outcome.
+            if virtual_pacing {
+                sess.set_gate(&mut self.gating, sess.awaiting, sess.owed + 1);
             }
-            if sess.pipelined {
-                if virtual_pacing {
-                    sess.owed += 1;
-                }
-            } else if let Some((bytes, delay, deadline)) = sess.pending.pop_front() {
-                let arrival = (sess.release + delay).max(now);
-                self.schedule_arrival(slot, arrival, bytes, deadline);
-            } else if sess.interactive && !sess.closed && !sess.busy() {
-                sess.awaiting = virtual_pacing;
-            }
+        } else if let Some((bytes, delay, deadline)) = sess.pending.pop_front() {
+            let arrival = (sess.release + delay).max(now);
+            self.schedule_arrival(slot, arrival, bytes, deadline);
+        } else if sess.interactive && !sess.closed && !sess.busy() {
+            sess.set_gate(&mut self.gating, virtual_pacing, sess.owed);
         }
     }
 
@@ -1327,7 +1349,12 @@ impl Driver {
             // Time may not advance while an interactive session owes the
             // driver its next decision — that barrier is what makes the
             // interleaving independent of host thread scheduling.
-            if !self.shutdown && self.sessions.iter().any(|s| s.awaiting || s.owed > 0) {
+            debug_assert_eq!(
+                self.gating,
+                self.sessions.iter().filter(|s| s.gates()).count(),
+                "barrier count out of step with the session flags"
+            );
+            if !self.shutdown && self.gating > 0 {
                 self.recv_blocking();
                 continue;
             }

@@ -7,7 +7,7 @@
 use std::thread;
 
 use strange_core::{ClientSpec, QosClass, ServiceConfig, ServiceStats, System, SystemConfig};
-use strange_server::{Pacing, RngServer};
+use strange_server::{AdmissionConfig, Pacing, RngServer, SubmitOutcome};
 use strange_trng::DRange;
 
 /// (bytes, think, requests) per session — a fixed seeded schedule.
@@ -325,4 +325,143 @@ fn dropped_handle_mid_run_does_not_freeze_other_sessions() {
     survivor.close();
     let report = server.shutdown();
     assert_eq!(report.stats.latency_by_client[1].len(), 10);
+}
+
+/// Session churn: thousands of open → call → close sessions on one
+/// server. The driver keeps a count of the sessions holding the
+/// virtual-time barrier, `System::open_session` skips re-materializing
+/// priorities for Normal tenants and the engine counts non-default
+/// priorities; debug builds assert each against a full scan on every
+/// use, so this run exercises those oracles across every transition —
+/// a late first High tenant, a k-deep pipelined session owed several
+/// reactions at once, throttle sheds, a handle dropped without `close`,
+/// a close with a submit still scheduled — and the recorded arrivals
+/// replayed as a synchronous `ServiceConfig` run (every client
+/// configured up front, priorities materialized from scratch) must
+/// reproduce the report bit for bit.
+#[test]
+fn session_churn_matches_the_synchronous_replay() {
+    const CHURN: usize = 5_200;
+    const FIRST_HIGH: usize = 4_100;
+    const PIPELINED_AT: usize = 1_000;
+    const DROPPED_AT: usize = 2_000;
+    const ABANDONED_AT: usize = 3_000;
+    const PIPELINE_DEPTH: usize = 6;
+    const BUCKET: u32 = 4;
+
+    let cfg = SystemConfig::dr_strange(0).with_service(ServiceConfig {
+        capture_values: true,
+        record_arrivals: true,
+        sessions: true,
+        ..ServiceConfig::default()
+    });
+    let sys = System::new(cfg, Vec::new(), Box::new(DRange::new(TRNG_SEED)))
+        .expect("valid configuration");
+    let server = RngServer::start_with_admission(
+        sys,
+        Pacing::Virtual,
+        AdmissionConfig::protective(BUCKET, 5_000),
+    );
+
+    // (bytes, qos) of every session in id order, for the replay.
+    let mut specs: Vec<(usize, QosClass)> = Vec::new();
+    let mut open = |bytes: usize, qos: QosClass| {
+        specs.push((bytes, qos));
+        server.open_session(ClientSpec::manual(bytes).with_qos(qos))
+    };
+    let mut served = 0u64;
+    let mut shed = 0u64;
+    for i in 0..CHURN {
+        let bytes = [8, 16, 32, 24][i % 4];
+        let qos = match i {
+            _ if i < FIRST_HIGH => QosClass::Normal,
+            FIRST_HIGH => QosClass::High,
+            _ => [QosClass::Normal, QosClass::Low, QosClass::High][i % 3],
+        };
+        if i == PIPELINED_AT {
+            // All six arrive on the open cycle: two exceed the token
+            // bucket, the rest are buffer hits that mature together, so
+            // one delivery batch leaves the session owing several
+            // reactions.
+            let mut p = open(8, QosClass::Normal);
+            p.submit_pipelined(8, 0, PIPELINE_DEPTH, u64::MAX);
+            for k in 0..PIPELINE_DEPTH + 1 {
+                match p.recv_outcome() {
+                    SubmitOutcome::Served(_) => served += 1,
+                    SubmitOutcome::Shed(_) => shed += 1,
+                    other => panic!("unexpected outcome {other:?}"),
+                }
+                match k {
+                    0 => p.submit_pipelined(8, 40_000, 1, u64::MAX),
+                    PIPELINE_DEPTH => {}
+                    _ => p.ack(),
+                }
+            }
+            p.close();
+        }
+        // The next session holds the barrier (it owes its first submit)
+        // while the two casualties below act, so the driver cannot run
+        // ahead of them and the outcome does not depend on host timing.
+        let special = (i == DROPPED_AT || i == ABANDONED_AT).then(|| open(8, QosClass::Normal));
+        let mut h = open(bytes, qos);
+        if let Some(mut casualty) = special {
+            if i == DROPPED_AT {
+                casualty.submit_after(8, 50); // in flight when the handle dies
+                drop(casualty);
+            } else {
+                casualty.submit_after(8, 1_000); // scheduled, never injected
+                casualty.close();
+            }
+        }
+        h.submit_after(bytes, (i % 5) as u64 * 300);
+        match h.recv_outcome() {
+            SubmitOutcome::Served(r) => {
+                assert_eq!(r.words.len(), bytes.div_ceil(8));
+                served += 1;
+            }
+            other => panic!("session {i}: unexpected outcome {other:?}"),
+        }
+        h.close();
+    }
+    let report = server.shutdown();
+
+    assert_eq!(report.sessions, specs.len());
+    assert_eq!(report.sessions, CHURN + 3);
+    assert!(shed > 0, "the pipeline fill must overrun its token bucket");
+    assert_eq!(report.admission.shed_tenant_throttle, shed);
+    // The dropped handle's request completes unseen.
+    assert_eq!(report.stats.requests_completed, served + 1);
+    let abandoned = ABANDONED_AT + 2; // the pipelined and dropped sessions precede it
+    assert!(report.arrival_logs[abandoned].is_empty());
+    let pipelined = &report.stats.latency_by_client[PIPELINED_AT];
+    let arrivals = &report.arrival_logs[PIPELINED_AT];
+    assert!(
+        (1..pipelined.len()).any(|k| arrivals[k] + pipelined[k] == arrivals[0] + pipelined[0]),
+        "no two pipelined completions shared a delivery cycle"
+    );
+
+    let clients = specs
+        .iter()
+        .zip(&report.arrival_logs)
+        .map(|(&(bytes, qos), log)| ClientSpec::trace_replay(bytes, log.clone()).with_qos(qos))
+        .collect();
+    let mut cfg = SystemConfig::dr_strange(0).with_service(ServiceConfig {
+        clients,
+        capture_values: true,
+        ..ServiceConfig::default()
+    });
+    cfg.max_cpu_cycles = report.cpu_cycles + 1_000_000;
+    let mut sync = System::new(cfg, Vec::new(), Box::new(DRange::new(TRNG_SEED)))
+        .expect("valid configuration");
+    let res = sync.run();
+    assert!(!res.hit_cycle_limit, "replay must drain");
+    assert_eq!(
+        res.service.expect("service stats"),
+        report.stats,
+        "the churned server must equal the synchronous run of its arrivals"
+    );
+    assert_eq!(
+        sync.service().expect("service").captured_words(),
+        report.captured
+    );
 }
