@@ -4,7 +4,8 @@
 //!
 //! * `busy_pair`: a memory-intensive eval pair at the paper's highest
 //!   RNG intensity (the `busy_guard` regime from the fastforward bench) —
-//!   little to skip, so fast-forward wall time is live-tick bound;
+//!   requests are in flight on most cycles, so fast-forward wall time is
+//!   bound by the cycles on which a core or a channel does something;
 //! * `saturated_service`: the contended mixed-QoS closed-loop service
 //!   mix with no trace cores — the RNG queue stays full and tenants are
 //!   back-pressured, but a blocked cycle is not an event, so fast-forward
@@ -13,7 +14,7 @@
 //! Each cell runs the per-cycle reference plus fast-forward under every
 //! combination of `dirty_readiness` x `burst_events`, asserts that every
 //! run is bit-identical (the features are pure memoizations), asserts
-//! the busy-pair fast-forward speedup over the reference stays >= 1.3x
+//! the busy-pair fast-forward speedup over the reference stays >= 2x
 //! and that the saturated cell skips >= 90% of its cycles and runs >= 5x
 //! faster than the reference, and reports the feature on/off wall-time
 //! deltas.
@@ -226,13 +227,15 @@ fn main() {
 
     // Acceptance bound: on the busy pair, fast-forward with the features
     // on must beat the per-cycle reference by a comfortable margin even
-    // on noisy CI runners (the tracked target is higher; see
-    // EXPERIMENTS.md).
+    // on noisy CI runners. A core is ticked only on the cycles it calls
+    // into memory, which leaves 3 % of this cell's cycles live (15 % while
+    // a load in flight pinned its core): measured 3.7-4.0x, 2.6-2.8x
+    // before (see EXPERIMENTS.md).
     let busy = &rows[0];
     let busy_speedup = busy.combos[0].speedup_vs_reference;
     assert!(
-        busy_speedup >= 1.3,
-        "busy-pair fast-forward speedup {busy_speedup:.2}x fell below the 1.3x bound"
+        busy_speedup >= 2.0,
+        "busy-pair fast-forward speedup {busy_speedup:.2}x fell below the 2x bound"
     );
     // Back-pressure must not pin live ticks: the saturated cell's live
     // ticks scale with its events, so nearly every cycle is skipped and

@@ -50,7 +50,8 @@
 //!   [`strange_dram::ChannelController::next_event_at`] (in-flight data,
 //!   RNG blockade end, refresh deadline, earliest bank/rank/bus readiness
 //!   over queued requests), [`strange_cpu::Core::next_ready_cycle`]
-//!   (stall-until on outstanding misses, pure-compute bubble stretches),
+//!   (the core's next call into memory, whatever is in flight; none
+//!   when the window fills behind a miss first),
 //!   [`MemSubsystem::next_event_at`] (demand-episode boundaries, RNG
 //!   completions, fill rounds, greedy threshold crossings, unprocessed
 //!   idle-period edges, low-utilization pacing — plus every channel),
@@ -67,8 +68,10 @@
 //! every core's and the memory subsystem's next event (memory events are
 //! converted through the 5:1 CPU/DRAM clock ratio), capped at the
 //! finish-check boundary on which the run would end so both modes report
-//! identical total cycle counts. Anything inside an active span falls
-//! back to the per-cycle path. New engine features must either prove
+//! identical total cycle counts. On a live cycle only the cores whose
+//! event it is, or that receive a completion, are ticked; the others keep
+//! their own clocks and replay the gap when next touched. New engine
+//! features must either prove
 //! their state changes only at cycles already reported as events, or
 //! extend `next_event_at` accordingly.
 //!

@@ -107,10 +107,52 @@ impl RunResult {
     }
 }
 
+/// A core and the cycle it has been simulated up to.
+///
+/// [`SimMode::Reference`] ticks every core on every cycle, so every clock
+/// equals the system's. [`SimMode::FastForward`] touches a core only on
+/// the cycle of its next memory call (`event`, cached when the core was
+/// last ticked) or when a completion arrives for it; in between the core
+/// lags, and whoever needs its state at a later cycle — a completion, its
+/// own event, the finish check, the end of the run — replays the gap in
+/// closed form, which is exact because a lagging core received nothing.
+struct Lane {
+    core: Core,
+    /// The first cycle the core has not simulated yet.
+    clock: u64,
+    /// The cycle of the core's next memory call if no completion arrives
+    /// first; `u64::MAX` when only a completion can bring one about.
+    event: u64,
+}
+
+impl Lane {
+    /// Replays the core's dead cycles up to (excluding) `now`.
+    fn sync(&mut self, now: u64) {
+        if self.clock < now {
+            self.core.skip_cycles(self.clock, now - self.clock);
+            self.clock = now;
+        }
+    }
+
+    /// Runs cycle `now` live and caches the core's next event.
+    fn tick(&mut self, now: u64, mem: &mut MemSubsystem) {
+        self.sync(now);
+        self.core.tick(now, mem);
+        self.clock = now + 1;
+        self.event = self.core.next_ready_cycle(now + 1).unwrap_or(u64::MAX);
+    }
+
+    /// The cycle by which the core counts as finished if it stays dead
+    /// until `until`, `None` if it does not finish before then.
+    fn finish_by(&self, until: u64) -> Option<u64> {
+        self.core.finish_within(self.clock, until - self.clock)
+    }
+}
+
 /// The full simulated system.
 pub struct System {
     config: SystemConfig,
-    cores: Vec<Core>,
+    cores: Vec<Lane>,
     mem: MemSubsystem,
     service: Option<RngService>,
     cpu_cycle: u64,
@@ -140,10 +182,15 @@ impl System {
                 constraint: "match the configured core count",
             });
         }
-        let cores: Vec<Core> = traces
+        let cores: Vec<Lane> = traces
             .into_iter()
             .enumerate()
-            .map(|(i, t)| Core::new(i, config.core, t, config.instruction_target))
+            .map(|(i, t)| Lane {
+                core: Core::new(i, config.core, t, config.instruction_target),
+                clock: 0,
+                // Ticked on the first cycle, which derives the real event.
+                event: 0,
+            })
             .collect();
         let mem = MemSubsystem::new(config.clone(), mechanism);
         let service = (!config.service.clients.is_empty() || config.service.sessions)
@@ -206,12 +253,18 @@ impl System {
 
     fn step_one(&mut self) {
         let now = self.cpu_cycle;
+        let fast = self.config.sim_mode == SimMode::FastForward;
         if now.is_multiple_of(CPU_CYCLES_PER_MEM_CYCLE) {
             let mem_now = now / CPU_CYCLES_PER_MEM_CYCLE;
             self.mem.tick(mem_now, &mut self.completions);
             for done in self.completions.drain(..) {
-                if done.core < self.cores.len() {
-                    self.cores[done.core].complete(done.id);
+                if let Some(lane) = self.cores.get_mut(done.core) {
+                    // The core ran without this answer until now; with it,
+                    // its next memory call may come sooner than cached, so
+                    // it runs this cycle live and re-derives its event.
+                    lane.sync(now);
+                    lane.core.complete(done.id);
+                    lane.event = now;
                 } else {
                     let svc = self
                         .service
@@ -224,8 +277,16 @@ impl System {
                 }
             }
         }
-        for core in &mut self.cores {
-            core.tick(now, &mut self.mem);
+        // Core-id order in both modes: a core that is not ticked makes no
+        // memory call, so request ids and queue order do not depend on
+        // which cores were skipped.
+        for lane in &mut self.cores {
+            if !fast {
+                lane.core.tick(now, &mut self.mem);
+                lane.clock = now + 1;
+            } else if lane.event <= now {
+                lane.tick(now, &mut self.mem);
+            }
         }
         if let Some(svc) = &mut self.service {
             svc.tick(now, &mut self.mem);
@@ -239,17 +300,11 @@ impl System {
     fn next_event(&self, stop: u64) -> u64 {
         let now = self.cpu_cycle;
         let mut end = stop;
-        for core in &self.cores {
-            match core.next_ready_cycle(now) {
-                // Fully stalled: bounded by memory events only.
-                None => {}
-                Some(t) => {
-                    if t <= now {
-                        return now;
-                    }
-                    end = end.min(t);
-                }
+        for lane in &self.cores {
+            if lane.event <= now {
+                return now;
             }
+            end = end.min(lane.event);
         }
         // Service-client arrivals are CPU-cycle events, and so is the first
         // issue attempt of freshly queued words. A back-pressured client
@@ -272,11 +327,19 @@ impl System {
         end.max(now)
     }
 
+    /// Whether every core has reached its instruction target by the
+    /// current cycle.
+    fn cores_finished(&self) -> bool {
+        let now = self.cpu_cycle;
+        self.cores.iter().all(|lane| lane.finish_by(now).is_some())
+    }
+
     /// Caps a dead-span skip target at the finish-check boundary on which
     /// the run would end, so fast-forward stops on exactly the same cycle
     /// as the per-cycle reference. Within a dead span a core's finish
-    /// state can only flip during a pure-compute stretch, which
-    /// [`Core::finish_within`] predicts in closed form.
+    /// state can only flip while ready instructions retire, which
+    /// [`Core::finish_within`] predicts in closed form from wherever the
+    /// core's own clock stands.
     fn capped_at_run_end(&self, target: u64) -> u64 {
         let now = self.cpu_cycle;
         if target <= now {
@@ -288,10 +351,9 @@ impl System {
         if self.service.as_ref().is_some_and(|s| !s.targets_met()) {
             return target;
         }
-        let span = target - now;
         let mut last_finish = now;
-        for core in &self.cores {
-            match core.finish_within(now, span) {
+        for lane in &self.cores {
+            match lane.finish_by(target) {
                 Some(at) => last_finish = last_finish.max(at),
                 // Some core cannot finish in this span: the run cannot
                 // end inside it, so the full skip is safe.
@@ -305,7 +367,8 @@ impl System {
     }
 
     /// Jumps the system to `target`, bulk-applying the skipped span's
-    /// accounting across the memory subsystem and every core.
+    /// accounting across the memory subsystem and the service. Cores keep
+    /// their own clocks and catch up when next touched.
     fn skip_to(&mut self, target: u64) {
         let now = self.cpu_cycle;
         debug_assert!(target > now);
@@ -323,9 +386,6 @@ impl System {
         if mem_hi > mem_lo {
             self.mem.skip_to(mem_lo, mem_hi);
         }
-        for core in &mut self.cores {
-            core.skip_cycles(now, target - now);
-        }
         if let Some(svc) = &mut self.service {
             svc.skip_cycles(target - now);
         }
@@ -336,9 +396,11 @@ impl System {
     /// Runs the workload until every core reaches its instruction target
     /// (or the safety cycle limit trips) and returns the results.
     ///
-    /// [`SimMode::Reference`] ticks every cycle; [`SimMode::FastForward`]
-    /// skips dead spans via the next-event machinery. Both produce
-    /// bit-identical results (asserted by `tests/determinism.rs`).
+    /// [`SimMode::Reference`] ticks every core on every cycle;
+    /// [`SimMode::FastForward`] skips dead spans via the next-event
+    /// machinery and ticks a core only on the cycles it touches memory.
+    /// Both produce bit-identical results (asserted by
+    /// `tests/determinism.rs`).
     pub fn run(&mut self) -> RunResult {
         let limit = self.config.cycle_limit();
         let fast = self.config.sim_mode == SimMode::FastForward;
@@ -346,17 +408,17 @@ impl System {
             // Finish checks happen on fixed boundaries in both modes so
             // the reported cycle totals agree.
             if self.cpu_cycle.is_multiple_of(FINISH_CHECK_PERIOD)
-                && self.cores.iter().all(Core::is_finished)
+                && self.cores_finished()
                 && self.service.as_ref().is_none_or(RngService::targets_met)
             {
                 break;
             }
             if fast {
                 // Probe every live cycle: with the per-channel probe cache
-                // and the cores' stalled-state memoization the probe is
-                // O(cores + channels) pointer reads, so re-probing each
-                // cycle (which catches a skippable span the moment it
-                // opens) is cheaper than stepping blindly in blocks.
+                // and the cores' cached events the probe is O(cores +
+                // channels) word reads, so re-probing each cycle (which
+                // catches a skippable span the moment it opens) is cheaper
+                // than stepping blindly in blocks.
                 let target = self.capped_at_run_end(self.next_event(limit));
                 if target > self.cpu_cycle {
                     self.skip_to(target);
@@ -372,15 +434,19 @@ impl System {
             }
         }
         self.mem.finish();
-        let hit_cycle_limit = !self.cores.iter().all(Core::is_finished)
-            || self.service.as_ref().is_some_and(|s| !s.targets_met());
+        let now = self.cpu_cycle;
+        for lane in &mut self.cores {
+            lane.sync(now);
+        }
+        let hit_cycle_limit =
+            !self.cores_finished() || self.service.as_ref().is_some_and(|s| !s.targets_met());
         RunResult {
             cores: self
                 .cores
                 .iter()
-                .map(|c| CoreOutcome {
-                    finish: c.finish().copied(),
-                    end_stats: *c.stats(),
+                .map(|lane| CoreOutcome {
+                    finish: lane.core.finish().copied(),
+                    end_stats: *lane.core.stats(),
                 })
                 .collect(),
             stats: self.mem.stats().clone(),

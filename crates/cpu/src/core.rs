@@ -11,8 +11,6 @@
 //! * a full target queue in the memory controller blocks issue
 //!   (back-pressure).
 
-use std::cell::Cell;
-
 use strange_dram::{CoreId, RequestId};
 
 use crate::stats::{CoreStats, FinishSnapshot};
@@ -63,6 +61,29 @@ impl Default for CoreConfig {
     }
 }
 
+/// One linear stretch of a core's evolution between memory calls: for
+/// `cycles` consecutive cycles, `retire` instructions retire and `issue`
+/// bubbles enter the window.
+#[derive(Debug, Clone, Copy, Default)]
+struct Phase {
+    cycles: u64,
+    retire: u64,
+    issue: u64,
+}
+
+/// What a dead span adds up to (see [`Core::replay`]).
+#[derive(Debug, Default)]
+struct Replay {
+    retired: u64,
+    issued: u64,
+    /// Cycles on which nothing retired: stalls when a request is in flight.
+    idle: u64,
+    /// When the instruction target is crossed inside the span: the 1-based
+    /// cycle of the span it happens on and the span's retirements through
+    /// the end of that cycle.
+    cross: Option<(u64, u64)>,
+}
+
 /// A trace-driven out-of-order core.
 pub struct Core {
     id: CoreId,
@@ -74,12 +95,6 @@ pub struct Core {
     target: u64,
     finish: Option<FinishSnapshot>,
     stats: CoreStats,
-    /// Memoized "fully stalled" probe result. A fully stalled core (head
-    /// waiting on memory, window full) cannot change state except through
-    /// [`Core::complete`], so once a probe observes the stalled state,
-    /// subsequent probes are a single flag read until a completion
-    /// arrives — the O(1) piece of the system-level next-event probe.
-    stalled_probe: Cell<bool>,
 }
 
 impl std::fmt::Debug for Core {
@@ -118,7 +133,6 @@ impl Core {
             target,
             finish: None,
             stats: CoreStats::default(),
-            stalled_probe: Cell::new(false),
         }
     }
 
@@ -149,147 +163,175 @@ impl Core {
 
     /// Delivers a completed memory request to the window.
     pub fn complete(&mut self, id: RequestId) -> bool {
-        // A completion is the only event that can un-stall a fully
-        // stalled core; force the next probe to recompute.
-        self.stalled_probe.set(false);
         self.window.complete(id)
     }
 
-    /// The earliest CPU cycle at or after `now` at which this core could
-    /// interact with the memory system or otherwise needs cycle-by-cycle
-    /// simulation, assuming no completion is delivered in the meantime.
+    /// The core's evolution from its current state while no completion
+    /// arrives and the issue stage inserts only bubbles: up to four linear
+    /// phases, after which nothing retires or issues (the window is full
+    /// behind a not-ready head).
     ///
-    /// * `None` — the core is fully stalled (head instruction waiting on
-    ///   memory, window full): nothing changes until a completion arrives,
-    ///   so only external events bound the dead span.
-    /// * `Some(t)` with `t > now` — the core is in a pure-compute stretch
-    ///   (no outstanding requests, only bubble instructions until `t`);
-    ///   every cycle in `now..t` can be replayed by
-    ///   [`Core::skip_cycles`].
-    /// * `Some(now)` — the core is active this cycle; no skipping.
+    /// With nothing outstanding every entry is ready, so after the first
+    /// cycle the core retires and issues `min(issue_width, window_size)`
+    /// per cycle indefinitely. With requests in flight, the ready run at
+    /// the head retires at full width while the window length stays
+    /// constant, one cycle retires the remainder of the run, and from then
+    /// on the head is stalled while the window fills at full width, ending
+    /// with one cycle that issues what still fits.
+    fn phases(&self) -> [Phase; 4] {
+        let width = self.config.issue_width as u64;
+        let capacity = self.config.window_size as u64;
+        let len = self.window.len() as u64;
+        let none = Phase::default();
+        if self.window.outstanding() == 0 {
+            let steady = width.min(capacity);
+            let first = Phase {
+                cycles: 1,
+                retire: width.min(len),
+                issue: steady,
+            };
+            let rest = Phase {
+                cycles: u64::MAX,
+                retire: steady,
+                issue: steady,
+            };
+            return [first, rest, none, none];
+        }
+        let leading = self.window.leading_ready() as u64;
+        let run = Phase {
+            cycles: leading / width,
+            retire: width,
+            issue: width,
+        };
+        // One cycle retires what is left of the run (possibly nothing).
+        let tail = leading % width;
+        let partial = Phase {
+            cycles: 1,
+            retire: tail,
+            issue: width.min(capacity - (len - tail)),
+        };
+        let space = capacity - (len - tail + partial.issue);
+        let fill = Phase {
+            cycles: space / width,
+            retire: 0,
+            issue: width,
+        };
+        let last = Phase {
+            cycles: 1,
+            retire: 0,
+            issue: space % width,
+        };
+        [run, partial, fill, last]
+    }
+
+    /// The earliest CPU cycle at or after `now` whose issue stage reaches
+    /// the trace's memory operation — the core's next call into
+    /// [`MemorySystem`] — assuming no completion is delivered in the
+    /// meantime. Every cycle before it only retires ready instructions
+    /// and issues bubbles, so [`Core::skip_cycles`] can replay it; that
+    /// cycle itself must run through [`Core::tick`] (also when the
+    /// operation is an RNG request past the instruction target, which
+    /// `tick` consumes without calling memory).
+    ///
+    /// * `Some(now)` — the core reaches its memory operation this cycle
+    ///   (a core whose request the memory system refuses stays here: it
+    ///   retries every cycle).
+    /// * `Some(t)` with `t > now` — the bubbles ahead of the operation
+    ///   last until `t`, whatever is in flight.
+    /// * `None` — the window fills behind a not-ready head before the
+    ///   operation is reached: only a completion can bring it closer.
     pub fn next_ready_cycle(&self, now: u64) -> Option<u64> {
-        if self.stalled_probe.get() {
-            return None;
-        }
-        let width = self.config.issue_width;
-        if self.window.outstanding() > 0 {
-            if self.window.head_pending().is_some() && !self.window.has_space() {
-                self.stalled_probe.set(true);
-                None
-            } else {
-                Some(now)
+        let mut bubbles = self.bubbles_left as u64;
+        let mut at = now;
+        for p in self.phases() {
+            // A cycle issuing `p.issue` instructions reaches the operation
+            // once fewer than that many bubbles are left.
+            if p.issue > 0 && bubbles / p.issue < p.cycles {
+                return Some(at + bubbles / p.issue);
             }
-        } else if self.config.window_size >= width {
-            // With only ready entries in flight, the core consumes exactly
-            // `issue_width` bubbles per cycle; the cycle that reaches the
-            // trace's memory operation must run live.
-            Some(now + self.bubbles_left as u64 / width as u64)
-        } else {
-            Some(now)
+            at += p.cycles;
+            bubbles -= p.issue * p.cycles;
         }
+        None
     }
 
-    /// Instructions retired over `cycles` dead pure-compute cycles, given
-    /// `w0` ready entries in flight at span start: `width` per cycle once
-    /// the window holds at least `width` entries (from the second cycle
-    /// at the latest).
-    fn pure_compute_retired(&self, w0: u64, cycles: u64) -> u64 {
-        let width = self.config.issue_width as u64;
-        if w0 >= width {
-            width * cycles
-        } else if cycles == 0 {
-            0
-        } else {
-            w0 + width * (cycles - 1)
+    /// Totals over the next `n` cycles, which the caller guarantees end at
+    /// or before [`Core::next_ready_cycle`].
+    fn replay(&self, n: u64) -> Replay {
+        let need = match self.finish {
+            None => self.target - self.stats.retired,
+            Some(_) => u64::MAX,
+        };
+        let mut out = Replay::default();
+        let mut elapsed = 0;
+        for p in self.phases() {
+            let take = p.cycles.min(n - elapsed);
+            let retired = p.retire * take;
+            if out.cross.is_none() && out.retired + retired >= need {
+                let cycle = (need - out.retired).div_ceil(p.retire);
+                out.cross = Some((elapsed + cycle, out.retired + p.retire * cycle));
+            }
+            if p.retire == 0 {
+                out.idle += take;
+            }
+            out.retired += retired;
+            out.issued += p.issue * take;
+            elapsed += take;
         }
-    }
-
-    /// The 1-based pure-compute cycle on which cumulative retirement first
-    /// reaches `need` more instructions (callers guarantee it does).
-    fn pure_compute_crossing(&self, w0: u64, need: u64) -> u64 {
-        let width = self.config.issue_width as u64;
-        if w0 >= width {
-            need.div_ceil(width)
-        } else if need <= w0 {
-            1
-        } else {
-            1 + (need - w0).div_ceil(width)
-        }
+        out.idle += n - elapsed;
+        out
     }
 
     /// The cycle at which this core first counts as finished if the next
     /// `n` cycles are dead (no memory interaction): `Some(now)` when the
-    /// target is already reached, the exact crossing cycle when a
-    /// pure-compute stretch reaches it within the span, `None` otherwise.
-    /// Used by the fast-forward loop to stop runs on the same
-    /// finish-check boundaries as the per-cycle reference.
+    /// target is already reached, the exact crossing cycle when
+    /// retirement — of a pure-compute stretch, or of a ready run ahead of
+    /// a request still in flight — reaches it within the span, `None`
+    /// otherwise. Lets the fast-forward loop read the finish state of a
+    /// core whose clock lags, and stop runs on the same finish-check
+    /// boundaries as the per-cycle reference.
     pub fn finish_within(&self, now: u64, n: u64) -> Option<u64> {
         if self.finish.is_some() {
             return Some(now);
         }
-        if self.window.outstanding() > 0 {
-            // Stalled: nothing retires, so the target cannot be crossed.
-            return None;
-        }
-        let w0 = self.window.len() as u64;
-        if self.stats.retired + self.pure_compute_retired(w0, n) < self.target {
-            return None;
-        }
-        let cross = self.pure_compute_crossing(w0, self.target - self.stats.retired);
-        Some(now + cross - 1)
+        let (cycle, _) = self.replay(n).cross?;
+        Some(now + cycle - 1)
     }
 
     /// Replays `n` dead cycles in bulk, leaving the core in exactly the
     /// state `n` calls to [`Core::tick`] would (the caller must guarantee
     /// `now + n <= next_ready_cycle(now)`, i.e. the span is dead).
     pub fn skip_cycles(&mut self, now: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if self.window.outstanding() > 0 {
-            // Fully stalled: only the cycle and stall counters advance.
-            debug_assert!(
-                self.window.head_pending().is_some() && !self.window.has_space(),
-                "skip of an active core"
-            );
-            self.stats.cycles += n;
-            match self.window.head_pending() {
-                Some(PendingKind::Load) => self.stats.mem_stall_cycles += n,
-                Some(PendingKind::Rng) => self.stats.rng_stall_cycles += n,
-                None => {}
-            }
-            return;
-        }
-        // Pure compute: retire/issue evolve in closed form. Each cycle
-        // issues exactly `width` bubbles; retirement is `width` per cycle
-        // once the window holds at least `width` ready entries (from the
-        // second cycle on at the latest).
-        let width = self.config.issue_width as u64;
         debug_assert!(
-            n <= self.bubbles_left as u64 / width,
+            self.next_ready_cycle(now).is_none_or(|t| now + n <= t),
             "skip across a memory operation"
         );
-        let w0 = self.window.len() as u64;
-        let total_retired = self.pure_compute_retired(w0, n);
-        if self.finish.is_none() && self.stats.retired + total_retired >= self.target {
+        let span = self.replay(n);
+        if let Some((cycle, retired)) = span.cross {
             // The instruction target is crossed mid-span: reconstruct the
             // snapshot the per-cycle path would have taken, with the exact
             // crossing cycle and the stats as of the end of that cycle's
-            // retire stage.
-            let cross = self.pure_compute_crossing(w0, self.target - self.stats.retired);
-            let mut stats = self.stats;
-            stats.cycles += cross;
-            stats.retired += self.pure_compute_retired(w0, cross);
+            // retire stage. Stalled cycles all come after the retiring
+            // ones, so the stall counters have not moved yet.
             self.finish = Some(FinishSnapshot {
-                at_cycle: now + cross - 1,
-                stats,
+                at_cycle: now + cycle - 1,
+                stats: CoreStats {
+                    cycles: self.stats.cycles + cycle,
+                    retired: self.stats.retired + retired,
+                    ..self.stats
+                },
             });
         }
         self.stats.cycles += n;
-        self.stats.retired += total_retired;
+        self.stats.retired += span.retired;
+        match self.window.first_pending() {
+            Some(PendingKind::Load) => self.stats.mem_stall_cycles += span.idle,
+            Some(PendingKind::Rng) => self.stats.rng_stall_cycles += span.idle,
+            None => {}
+        }
         self.window
-            .skip_ready(total_retired as usize, (width * n) as usize);
-        self.bubbles_left -= (width * n) as u32;
+            .skip_ready(span.retired as usize, span.issued as usize);
+        self.bubbles_left -= span.issued as u32;
     }
 
     /// Advances the core by one CPU cycle against `mem`.
@@ -666,6 +708,56 @@ mod tests {
         // Target crossed mid pure-compute span: the snapshot cycle and
         // stats must match the per-cycle path exactly.
         equivalence_trace(vec![TraceOp::Load { gap: 4999, addr: 0 }], 10, 1234, 4000);
+    }
+
+    #[test]
+    fn finish_crossing_with_a_load_outstanding_matches_per_cycle() {
+        // An old load holds the head until the window is full of bubbles,
+        // then answers: 128 ready entries retire while a younger load
+        // issues behind them. The target falls inside that ready run, with
+        // the younger load still in flight.
+        let ops = vec![
+            TraceOp::Load { gap: 0, addr: 0 },
+            TraceOp::Load { gap: 300, addr: 64 },
+            TraceOp::Load { gap: 400, addr: 128 },
+        ];
+        let mk = || {
+            Core::new(
+                0,
+                CoreConfig::paper_default(),
+                Box::new(LoopTrace::new(ops.clone())),
+                250,
+            )
+        };
+        let (mut reference, mut fast) = (mk(), mk());
+        // Never answers by itself: the old load is completed by hand.
+        let (mut ref_mem, mut fast_mem) = (MockMem::new(u64::MAX), MockMem::new(u64::MAX));
+        let mut now = 0;
+        while reference.stats().loads < 2 {
+            for (core, mem) in [(&mut reference, &mut ref_mem), (&mut fast, &mut fast_mem)] {
+                if now == 60 {
+                    assert!(core.complete(0));
+                }
+                core.tick(now, mem);
+            }
+            now += 1;
+        }
+        assert!(!fast.is_finished() && fast.window.outstanding() > 0);
+        assert!(fast.window.leading_ready() > 100);
+        assert_eq!(fast.next_ready_cycle(now), None, "the window fills first");
+
+        for t in now..now + 100 {
+            reference.tick(t, &mut ref_mem);
+        }
+        let crossed = reference.finish().expect("target crossed").at_cycle;
+        assert!(now < crossed && crossed < now + 99);
+        assert_eq!(fast.finish_within(now, 100), Some(crossed));
+        assert_eq!(fast.finish_within(now, crossed - now), None);
+        assert_eq!(fast.finish_within(now, crossed - now + 1), Some(crossed));
+        fast.skip_cycles(now, 100);
+        assert_eq!(fast.finish(), reference.finish());
+        assert_eq!(fast.stats(), reference.stats());
+        assert!(fast.stats().mem_stall_cycles > 0, "span ran into the stall");
     }
 
     #[test]

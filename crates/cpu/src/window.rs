@@ -5,6 +5,13 @@
 //! insertion, loads and RNG requests become ready when their data returns.
 //! Retirement happens in order from the head, up to the issue width per
 //! cycle; a not-ready head stalls the core.
+//!
+//! Ready instructions are indistinguishable from one another, so the
+//! window stores them run-length encoded: `Ready(n)` runs between
+//! individual `Pending` entries. The number of runs is bounded by the
+//! number of requests in flight rather than by the window size, which
+//! makes the leading-ready count O(1) and lets bulk retirement, bulk
+//! insertion and completion lookup skip over whole runs.
 
 use std::collections::VecDeque;
 
@@ -20,9 +27,11 @@ pub enum PendingKind {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    ready: bool,
-    pending: Option<(RequestId, PendingKind)>,
+enum Run {
+    /// `n > 0` consecutive ready instructions.
+    Ready(usize),
+    /// One instruction waiting on the answer to a memory request.
+    Pending(RequestId, PendingKind),
 }
 
 /// A fixed-capacity, in-order-retire instruction window.
@@ -43,7 +52,10 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct InstructionWindow {
     capacity: usize,
-    entries: VecDeque<Entry>,
+    /// Program order, head first. No `Ready(0)` and no two adjacent
+    /// `Ready` runs: a completed entry merges into its neighbours.
+    runs: VecDeque<Run>,
+    len: usize,
     outstanding: usize,
 }
 
@@ -57,7 +69,8 @@ impl InstructionWindow {
         assert!(capacity > 0, "window capacity must be nonzero");
         InstructionWindow {
             capacity,
-            entries: VecDeque::with_capacity(capacity),
+            runs: VecDeque::new(),
+            len: 0,
             outstanding: 0,
         }
     }
@@ -76,17 +89,17 @@ impl InstructionWindow {
 
     /// Current number of in-flight instructions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the window holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Whether another instruction can be inserted.
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.capacity
     }
 
     /// Inserts a ready (non-memory or store) instruction.
@@ -97,10 +110,7 @@ impl InstructionWindow {
     /// [`InstructionWindow::has_space`] first.
     pub fn insert_ready(&mut self) {
         assert!(self.has_space(), "window overflow");
-        self.entries.push_back(Entry {
-            ready: true,
-            pending: None,
-        });
+        self.push_ready(1);
     }
 
     /// Inserts an instruction that waits on memory request `id`.
@@ -110,78 +120,112 @@ impl InstructionWindow {
     /// Panics if the window is full.
     pub fn insert_pending(&mut self, id: RequestId, kind: PendingKind) {
         assert!(self.has_space(), "window overflow");
-        self.entries.push_back(Entry {
-            ready: false,
-            pending: Some((id, kind)),
-        });
+        self.runs.push_back(Run::Pending(id, kind));
+        self.len += 1;
         self.outstanding += 1;
     }
 
     /// Marks the instruction waiting on request `id` as ready. Returns true
     /// if a matching entry was found.
     pub fn complete(&mut self, id: RequestId) -> bool {
-        for e in self.entries.iter_mut() {
-            if let Some((rid, _)) = e.pending {
-                if rid == id && !e.ready {
-                    e.ready = true;
-                    self.outstanding -= 1;
-                    return true;
-                }
-            }
+        let Some(mut i) = self
+            .runs
+            .iter()
+            .position(|r| matches!(*r, Run::Pending(rid, _) if rid == id))
+        else {
+            return false;
+        };
+        self.outstanding -= 1;
+        let mut n = 1;
+        if let Some(&Run::Ready(after)) = self.runs.get(i + 1) {
+            n += after;
+            self.runs.remove(i + 1);
         }
-        false
+        if let Some(&Run::Ready(before)) = i.checked_sub(1).and_then(|p| self.runs.get(p)) {
+            n += before;
+            self.runs.remove(i);
+            i -= 1;
+        }
+        self.runs[i] = Run::Ready(n);
+        true
+    }
+
+    /// Number of ready instructions at the head, ahead of the oldest
+    /// not-ready one: what in-order retirement can draw from until a
+    /// completion arrives.
+    pub fn leading_ready(&self) -> usize {
+        match self.runs.front() {
+            Some(&Run::Ready(n)) => n,
+            _ => 0,
+        }
     }
 
     /// Fast-forward helper: retires `retired` entries and inserts
-    /// `inserted` ready ones in bulk. Only valid while nothing is
-    /// outstanding (every entry is an indistinguishable ready slot), which
-    /// is exactly the regime `Core::skip_cycles` uses it in.
+    /// `inserted` ready ones at the tail in bulk. Retirement draws from
+    /// the leading ready run only — including, when nothing is
+    /// outstanding, the entries inserted during the span, so there only
+    /// the net length must balance.
     ///
     /// # Panics
     ///
-    /// Panics if an entry is outstanding, more entries would be retired
-    /// than pass through, or the result would overflow the window.
+    /// Panics if retirement would pass a not-ready entry or take more
+    /// entries than pass through, or the result would overflow the window.
     pub fn skip_ready(&mut self, retired: usize, inserted: usize) {
-        assert_eq!(self.outstanding, 0, "bulk skip with outstanding entries");
-        // Retirement draws from both the initial entries and the ones
-        // inserted during the span, so only the net length must balance.
-        assert!(
-            retired <= self.entries.len() + inserted,
-            "retiring more than pass through the window"
-        );
-        let new_len = self.entries.len() + inserted - retired;
-        assert!(new_len <= self.capacity, "window overflow");
-        self.entries.resize(
-            new_len,
-            Entry {
-                ready: true,
-                pending: None,
-            },
-        );
+        let first = retired.min(self.leading_ready());
+        self.pop_ready(first);
+        self.push_ready(inserted);
+        self.pop_ready(retired - first);
+        assert!(self.len <= self.capacity, "window overflow");
     }
 
     /// Retires up to `width` ready instructions from the head; returns how
     /// many retired.
     pub fn retire(&mut self, width: usize) -> usize {
-        let mut n = 0;
-        while n < width {
-            match self.entries.front() {
-                Some(e) if e.ready => {
-                    self.entries.pop_front();
-                    n += 1;
-                }
-                _ => break,
-            }
-        }
+        let n = width.min(self.leading_ready());
+        self.pop_ready(n);
         n
     }
 
     /// If the head instruction is stalled on memory, the kind it waits on.
     pub fn head_pending(&self) -> Option<PendingKind> {
-        match self.entries.front() {
-            Some(e) if !e.ready => e.pending.map(|(_, k)| k),
+        match self.runs.front() {
+            Some(&Run::Pending(_, kind)) => Some(kind),
             _ => None,
         }
+    }
+
+    /// The kind the oldest not-ready instruction waits on: what the head
+    /// stalls on once the leading ready run has retired.
+    pub fn first_pending(&self) -> Option<PendingKind> {
+        self.runs.iter().take(2).find_map(|r| match *r {
+            Run::Pending(_, kind) => Some(kind),
+            Run::Ready(_) => None,
+        })
+    }
+
+    fn push_ready(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        match self.runs.back_mut() {
+            Some(Run::Ready(m)) => *m += n,
+            _ => self.runs.push_back(Run::Ready(n)),
+        }
+        self.len += n;
+    }
+
+    fn pop_ready(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        match self.runs.front_mut() {
+            Some(Run::Ready(m)) if *m > n => *m -= n,
+            Some(Run::Ready(m)) if *m == n => {
+                self.runs.pop_front();
+            }
+            _ => panic!("retiring past a not-ready entry"),
+        }
+        self.len -= n;
     }
 }
 
@@ -248,5 +292,97 @@ mod tests {
     #[should_panic(expected = "capacity must be nonzero")]
     fn zero_capacity_rejected() {
         InstructionWindow::new(0);
+    }
+
+    /// ready ×2, load 1, ready, rng 2, ready ×3, load 3.
+    fn mixed() -> InstructionWindow {
+        let mut w = InstructionWindow::new(16);
+        w.insert_ready();
+        w.insert_ready();
+        w.insert_pending(1, PendingKind::Load);
+        w.insert_ready();
+        w.insert_pending(2, PendingKind::Rng);
+        for _ in 0..3 {
+            w.insert_ready();
+        }
+        w.insert_pending(3, PendingKind::Load);
+        w
+    }
+
+    #[test]
+    fn ready_runs_merge_on_insert_and_on_completion() {
+        let mut w = mixed();
+        assert_eq!(w.runs.len(), 6, "adjacent ready inserts share a run");
+        assert_eq!((w.len(), w.outstanding(), w.leading_ready()), (9, 3, 2));
+        // Completing the rng joins the run before it and the run after it.
+        assert!(w.complete(2));
+        assert_eq!(w.runs.len(), 4);
+        assert_eq!((w.len(), w.outstanding(), w.leading_ready()), (9, 2, 2));
+        // Completing the head-side load joins the leading run to that one.
+        assert!(w.complete(1));
+        assert_eq!(w.runs.len(), 2);
+        assert_eq!(w.leading_ready(), 8);
+        assert_eq!(w.first_pending(), Some(PendingKind::Load));
+        // The tail entry has a ready neighbour on one side only.
+        assert!(w.complete(3));
+        assert_eq!(w.runs.len(), 1);
+        assert_eq!((w.outstanding(), w.leading_ready()), (0, 9));
+        assert_eq!(w.first_pending(), None);
+    }
+
+    #[test]
+    fn mid_window_completion_lets_retirement_cross_it() {
+        let mut w = mixed();
+        assert!(w.complete(2), "a younger request answers first");
+        assert_eq!(w.retire(3), 2, "the older load still blocks");
+        assert_eq!(w.head_pending(), Some(PendingKind::Load));
+        assert_eq!(w.first_pending(), Some(PendingKind::Load));
+        assert_eq!(w.retire(3), 0);
+        assert!(w.complete(1));
+        assert_eq!(w.head_pending(), None);
+        // load 1, ready, rng 2 (completed), ready ×3 retire as one run.
+        assert_eq!(w.retire(4), 4);
+        assert_eq!(w.retire(4), 2);
+        assert_eq!(w.head_pending(), Some(PendingKind::Load));
+        assert_eq!((w.len(), w.outstanding()), (1, 1));
+    }
+
+    #[test]
+    fn bulk_retire_stops_at_a_not_ready_entry() {
+        let mut w = mixed();
+        assert_eq!(w.retire(100), 2);
+        assert_eq!(w.len(), 7);
+        // Bulk insertion lands behind the in-flight entries, out of reach.
+        w.skip_ready(0, 5);
+        assert_eq!((w.len(), w.leading_ready()), (12, 0));
+        assert_eq!(w.retire(100), 0);
+
+        let mut w = mixed();
+        w.skip_ready(2, 4);
+        assert_eq!((w.len(), w.leading_ready()), (11, 0));
+        assert_eq!(w.head_pending(), Some(PendingKind::Load));
+    }
+
+    #[test]
+    #[should_panic(expected = "retiring past a not-ready entry")]
+    fn bulk_retire_past_a_not_ready_entry_panics() {
+        mixed().skip_ready(3, 0);
+    }
+
+    #[test]
+    fn bulk_skip_with_nothing_outstanding_balances_net_length() {
+        let mut w = InstructionWindow::new(8);
+        w.insert_ready();
+        // 1 + 30 pass through, 27 retire: more than the window ever holds.
+        w.skip_ready(27, 30);
+        assert_eq!((w.len(), w.leading_ready()), (4, 4));
+        w.skip_ready(4, 0);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "window overflow")]
+    fn bulk_insert_overflow_panics() {
+        mixed().skip_ready(0, 8);
     }
 }

@@ -7,7 +7,9 @@
 use dr_strange::core::{RunResult, SchedulerKind, SimMode, System, SystemConfig};
 use dr_strange::energy::{system_energy, Ddr3PowerParams};
 use dr_strange::trng::{DRange, QuacTrng};
-use dr_strange::workloads::{eval_pairs, Workload};
+use dr_strange::workloads::{
+    apps_in_class, eval_pairs, multicore_class_groups, IntensityClass, Workload,
+};
 
 fn run_workload(wl: &Workload, seed: u64) -> RunResult {
     let cfg = SystemConfig::dr_strange(wl.cores()).with_instruction_target(30_000);
@@ -281,6 +283,35 @@ mod fastforward {
     fn four_core_mixed_workload() {
         let wl = &dr_strange::workloads::four_core_groups(1, 7)[0].1[0];
         assert_modes_identical(base(SystemConfig::dr_strange(4)), wl, "four-core");
+    }
+
+    #[test]
+    fn eight_core_high_intensity_mix_skips_between_memory_calls() {
+        // Seven H-class applications plus the RNG benchmark keep loads in
+        // flight on every core on almost every cycle. A core with a load
+        // in flight is live only on the cycles it calls into memory: 79 %
+        // of this run is skippable, 42 % if such a core is ticked on every
+        // cycle it pushes bubbles into its window.
+        let wl = &multicore_class_groups(8, 1, 7)[2].1[0];
+        assert!(wl.name.starts_with('H'), "{}", wl.name);
+        assert_modes_identical(base(SystemConfig::rng_oblivious(8)), wl, "h8-oblivious");
+        let skipped = assert_modes_identical(base(SystemConfig::dr_strange(8)), wl, "h8");
+        assert!(
+            skipped >= 0.70,
+            "h8: skipped fraction {skipped:.2}: cores are being polled again"
+        );
+    }
+
+    #[test]
+    fn two_core_high_intensity_pair() {
+        let app = apps_in_class(IntensityClass::High)[0];
+        let wl = Workload::pair(&app, 5120);
+        for (cfg, label) in [
+            (SystemConfig::dr_strange(2), "h2"),
+            (SystemConfig::rng_oblivious(2), "h2-oblivious"),
+        ] {
+            assert_modes_identical(base(cfg), &wl, label);
+        }
     }
 
     #[test]
