@@ -92,16 +92,19 @@ impl RandomNumberBuffer {
         assert!((1..=64).contains(&count), "count must be 1..=64");
         let room = self.capacity_bits().saturating_sub(self.available_bits());
         let take = count.min(room.min(64) as u32);
-        for i in 0..take {
-            let bit = (value >> i) & 1;
-            self.partial |= bit << self.partial_bits;
-            self.partial_bits += 1;
-            if self.partial_bits == 64 {
-                self.words.push_back(self.partial);
-                self.partial = 0;
-                self.partial_bits = 0;
-            }
+        if take == 0 {
+            return 0;
         }
+        let bits = value & (u64::MAX >> (64 - take));
+        // `partial` holds nothing above `partial_bits`, so the accepted
+        // bits land on zeroes; those shifted out are the carry.
+        self.partial |= bits << self.partial_bits;
+        let filled = self.partial_bits + take;
+        if filled >= 64 {
+            self.words.push_back(self.partial);
+            self.partial = bits.checked_shr(64 - self.partial_bits).unwrap_or(0);
+        }
+        self.partial_bits = filled % 64;
         take
     }
 
@@ -212,7 +215,114 @@ mod tests {
         assert_eq!(b.available_bits(), 4);
     }
 
+    /// The append one bit at a time: the model `push_bits` must equal.
+    fn push_bit_by_bit(b: &mut RandomNumberBuffer, value: u64, count: u32) -> u32 {
+        let room = b.capacity_bits().saturating_sub(b.available_bits());
+        let take = count.min(room.min(64) as u32);
+        for i in 0..take {
+            let bit = (value >> i) & 1;
+            b.partial |= bit << b.partial_bits;
+            b.partial_bits += 1;
+            if b.partial_bits == 64 {
+                b.words.push_back(b.partial);
+                b.partial = 0;
+                b.partial_bits = 0;
+            }
+        }
+        take
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push(u64, u32),
+        Pop,
+        Discard(usize),
+        Clear,
+    }
+
+    /// Runs `ops` on a buffer and on its bit-by-bit twin, comparing every
+    /// return value and the whole state after every step.
+    fn assert_equals_bit_by_bit(capacity: usize, ops: &[Op]) {
+        let mut fast = RandomNumberBuffer::new(capacity);
+        let mut model = RandomNumberBuffer::new(capacity);
+        for (step, &op) in ops.iter().enumerate() {
+            match op {
+                Op::Push(value, count) => assert_eq!(
+                    fast.push_bits(value, count),
+                    push_bit_by_bit(&mut model, value, count),
+                    "bits accepted at step {step}: {op:?}"
+                ),
+                Op::Pop => assert_eq!(fast.pop_word(), model.pop_word(), "step {step}"),
+                Op::Discard(n) => {
+                    assert_eq!(fast.discard_words(n), model.discard_words(n), "step {step}")
+                }
+                Op::Clear => {
+                    fast.clear();
+                    model.clear();
+                }
+            }
+            assert_eq!(
+                (&fast.words, fast.partial, fast.partial_bits),
+                (&model.words, model.partial, model.partial_bits),
+                "state after step {step}: {op:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_append_equals_bit_by_bit_at_the_edges() {
+        let ones = u64::MAX;
+        // A whole word onto an empty partial word, then onto a non-empty
+        // one (the carry), then onto a full one minus a bit.
+        assert_equals_bit_by_bit(
+            4,
+            &[
+                Op::Push(0xDEAD_BEEF_0BAD_F00D, 64),
+                Op::Push(0b101, 3),
+                Op::Push(0x0123_4567_89AB_CDEF, 64),
+                Op::Push(ones, 60),
+                Op::Push(0x8000_0000_0000_0001, 64),
+                Op::Pop,
+                Op::Push(ones, 1),
+            ],
+        );
+        // Capacity cuts a push short mid-call: with and without a carry,
+        // and exactly at a word boundary; value bits above `count` and
+        // above the cut are ignored.
+        assert_equals_bit_by_bit(1, &[Op::Push(ones, 40), Op::Push(ones, 40), Op::Push(1, 1)]);
+        assert_equals_bit_by_bit(
+            2,
+            &[Op::Push(ones, 50), Op::Push(ones, 64), Op::Push(ones, 64)],
+        );
+        assert_equals_bit_by_bit(
+            1,
+            &[Op::Push(ones, 7), Op::Pop, Op::Clear, Op::Push(ones, 64)],
+        );
+        assert_equals_bit_by_bit(0, &[Op::Push(ones, 64), Op::Push(1, 1), Op::Pop]);
+    }
+
     proptest! {
+        /// The shift-and-mask append equals the bit-by-bit one over random
+        /// batches interleaved with pops, discards and clears, on buffers
+        /// small enough that capacity cuts pushes short all the time.
+        #[test]
+        fn batch_append_equals_bit_by_bit(
+            capacity in 0usize..6,
+            steps in proptest::collection::vec((0u8..12, any::<u64>(), 1u32..=64), 0..200),
+        ) {
+            let ops: Vec<Op> = steps
+                .into_iter()
+                .map(|(kind, value, count)| match kind {
+                    0..=5 => Op::Push(value, count),
+                    6..=7 => Op::Push(value, 64),
+                    8..=9 => Op::Pop,
+                    10 => Op::Discard(count as usize % 3),
+                    _ => Op::Clear,
+                })
+                .collect();
+            assert_equals_bit_by_bit(capacity, &ops);
+        }
+
         /// available_bits() is conserved by pushes (accepted bits only) and
         /// bounded by capacity.
         #[test]

@@ -115,6 +115,9 @@ pub struct Completion {
     pub rng: Option<(u64, bool)>,
 }
 
+/// Served values [`MemSubsystem::value_log`] keeps.
+const VALUE_LOG_CAP: usize = 4096;
+
 /// One RNG completion within a burst: `(id, core, value, from_buffer)`.
 type BurstEntry = (RequestId, CoreId, u64, bool);
 
@@ -371,9 +374,11 @@ impl MemSubsystem {
         self.value_log = if enabled { Some(Vec::new()) } else { None };
     }
 
-    /// Served random values recorded so far (empty when logging is off).
+    /// The most recent served random values, oldest first, at most 4096
+    /// of them (empty when logging is off).
     pub fn value_log(&self) -> &[u64] {
-        self.value_log.as_deref().unwrap_or(&[])
+        let log = self.value_log.as_deref().unwrap_or(&[]);
+        &log[log.len().saturating_sub(VALUE_LOG_CAP)..]
     }
 
     /// Engine statistics.
@@ -967,8 +972,9 @@ impl MemSubsystem {
 
     fn log_value(&mut self, value: u64) {
         if let Some(log) = &mut self.value_log {
-            if log.len() >= 4096 {
-                log.remove(0);
+            // Trimmed a whole window at a time: amortised O(1) a word.
+            if log.len() == 2 * VALUE_LOG_CAP {
+                log.drain(..VALUE_LOG_CAP);
             }
             log.push(value);
         }
@@ -1681,6 +1687,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use strange_trng::DRange;
+
+    #[test]
+    fn value_log_is_the_most_recent_window_across_trims() {
+        let mut mem = MemSubsystem::new(SystemConfig::dr_strange(1), Box::new(DRange::new(1)));
+        mem.log_value(7);
+        assert!(mem.value_log().is_empty(), "logging is off by default");
+        mem.set_value_log(true);
+        // Past two trims, checked at every length.
+        for n in 0..3 * VALUE_LOG_CAP as u64 + 10 {
+            mem.log_value(n);
+            let oldest = (n + 1).saturating_sub(VALUE_LOG_CAP as u64);
+            assert!(
+                mem.value_log().iter().copied().eq(oldest..=n),
+                "after {} values the log holds {:?}..={:?}",
+                n + 1,
+                mem.value_log().first(),
+                mem.value_log().last()
+            );
+        }
+        let held = mem.value_log.as_ref().expect("logging on").len();
+        assert!(held <= 2 * VALUE_LOG_CAP, "the log is trimmed: {held}");
+    }
 
     proptest! {
         /// The maintained non-default-priority count equals a scan of the

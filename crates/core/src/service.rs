@@ -376,6 +376,78 @@ pub struct ServedRequest {
     pub latency_cycles: u64,
 }
 
+/// A table keyed by integers this program hands out itself, in increasing
+/// order (a client's request sequence numbers, the memory subsystem's
+/// request ids): a ring of slots over the key of its first one, so
+/// inserting, finding and removing an entry index it instead of hashing.
+/// A key skipped between two inserts (an id that went to a trace core)
+/// costs one empty slot until every older entry is gone.
+#[derive(Debug, Clone)]
+struct KeyRing<T> {
+    /// Key of `slots[0]`; unused while `slots` is empty.
+    base: u64,
+    /// The first slot is occupied whenever there is one, so the ring is
+    /// empty exactly when it holds no entry.
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> KeyRing<T> {
+    fn new() -> Self {
+        KeyRing {
+            base: 0,
+            slots: VecDeque::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Entries held; a scan, for the debug oracles only.
+    fn len(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+
+    fn slot(&self, key: u64) -> Option<usize> {
+        usize::try_from(key.checked_sub(self.base)?).ok()
+    }
+
+    /// Adds the entry for `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `key` is above every key inserted since the ring was
+    /// last empty.
+    fn insert(&mut self, key: u64, value: T) {
+        if self.slots.is_empty() {
+            self.base = key;
+        }
+        let at = self.slot(key).filter(|&at| at >= self.slots.len());
+        let at = at.expect("keys arrive in increasing order");
+        self.slots.resize_with(at, || None);
+        self.slots.push_back(Some(value));
+    }
+
+    fn get(&self, key: u64) -> Option<&T> {
+        self.slots.get(self.slot(key)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+        let at = self.slot(key)?;
+        self.slots.get_mut(at)?.as_mut()
+    }
+
+    fn remove(&mut self, key: u64) -> Option<T> {
+        let at = self.slot(key)?;
+        let value = self.slots.get_mut(at)?.take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(value)
+    }
+}
+
 /// One in-flight `getrandom` request.
 #[derive(Debug, Clone)]
 struct ActiveRequest {
@@ -404,7 +476,8 @@ struct ClientState {
     next_seq: u64,
     /// Seqs with words still to issue, FIFO.
     issue_queue: VecDeque<u64>,
-    in_flight: HashMap<u64, ActiveRequest>,
+    /// Requests arrived and not yet fully served, by seq.
+    in_flight: KeyRing<ActiveRequest>,
     /// Completed manual requests awaiting pickup.
     done_manual: HashMap<u64, ServedRequest>,
     /// Arrival cycles of every request, in arrival order (only populated
@@ -443,7 +516,7 @@ impl ClientState {
             arrivals: 0,
             next_seq: 0,
             issue_queue: VecDeque::new(),
-            in_flight: HashMap::new(),
+            in_flight: KeyRing::new(),
             done_manual: HashMap::new(),
             arrival_log: Vec::new(),
             closed: false,
@@ -529,7 +602,7 @@ pub struct RngService {
     /// tick allocates nothing).
     aging_scratch: Vec<(Reverse<u64>, u64, usize)>,
     /// Word-request id → (client index, request seq).
-    word_map: HashMap<RequestId, (usize, u64)>,
+    word_map: KeyRing<(usize, u64)>,
     /// Served words of completed requests, in completion order (only
     /// populated when value capture is on).
     captured: Vec<u64>,
@@ -561,7 +634,7 @@ impl RngService {
             unmet: 0,
             requests_in_flight: 0,
             aging_scratch: Vec::new(),
-            word_map: HashMap::new(),
+            word_map: KeyRing::new(),
             captured: Vec::new(),
             completed_order: VecDeque::new(),
             stats: ServiceStats {
@@ -895,7 +968,11 @@ impl RngService {
                 order.extend(self.active.iter().map(|&(_, ci)| {
                     let c = &self.clients[ci];
                     let &seq = c.issue_queue.front().expect("active client has queued words");
-                    let arrival = c.in_flight[&seq].arrival;
+                    let arrival = c
+                        .in_flight
+                        .get(seq)
+                        .expect("queued request is in flight")
+                        .arrival;
                     let eff = effective_priority(c.priority, now.saturating_sub(arrival), quantum);
                     (Reverse(eff), arrival, ci)
                 }));
@@ -1030,7 +1107,7 @@ impl RngService {
             };
             let req = self.clients[ci]
                 .in_flight
-                .get_mut(&seq)
+                .get_mut(seq)
                 .expect("queued request is in flight");
             debug_assert!(req.words_to_issue > 0, "queued request has no words left");
             req.words_to_issue -= 1;
@@ -1077,7 +1154,7 @@ impl RngService {
                 Some(id) => {
                     let req = self.clients[ci]
                         .in_flight
-                        .get_mut(&seq)
+                        .get_mut(seq)
                         .expect("queued request is in flight");
                     req.words_to_issue -= 1;
                     req.outstanding += 1;
@@ -1111,7 +1188,7 @@ impl RngService {
     pub(crate) fn complete(&mut self, id: RequestId, value: u64, from_buffer: bool, now: u64) {
         let (ci, seq) = self
             .word_map
-            .remove(&id)
+            .remove(id)
             .expect("completion for an unknown service request");
         if from_buffer {
             self.stats.words_from_buffer += 1;
@@ -1121,7 +1198,7 @@ impl RngService {
         let finished = {
             let req = self.clients[ci]
                 .in_flight
-                .get_mut(&seq)
+                .get_mut(seq)
                 .expect("completion for a finished request");
             if from_buffer {
                 req.buffer_words += 1;
@@ -1139,7 +1216,7 @@ impl RngService {
         }
         let req = self.clients[ci]
             .in_flight
-            .remove(&seq)
+            .remove(seq)
             .expect("request present");
         self.requests_in_flight -= 1;
         if self.capture {
@@ -1199,6 +1276,75 @@ impl RngService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    proptest! {
+        /// The ring against an ordered map: increasing keys with gaps,
+        /// lookups of held, removed, skipped and never-issued keys, and
+        /// removals from anywhere, down to empty and up again.
+        #[test]
+        fn key_ring_equals_a_map(
+            first_key in 0u64..1_000,
+            steps in collection::vec((0u8..8, any::<u64>()), 1..300),
+        ) {
+            let mut ring = KeyRing::new();
+            let mut model = BTreeMap::new();
+            let mut next_key = first_key;
+            for (kind, pick) in steps {
+                // A key around the live span: held, removed, a gap, or out of range.
+                let lo = model.keys().next().copied().unwrap_or(next_key).saturating_sub(2);
+                let probe = lo + pick % (next_key - lo + 3);
+                match kind {
+                    0..=2 => {
+                        next_key += [0, 0, 1, 5][(pick % 4) as usize];
+                        ring.insert(next_key, pick);
+                        model.insert(next_key, pick);
+                        next_key += 1;
+                    }
+                    3..=4 => prop_assert_eq!(ring.remove(probe), model.remove(&probe)),
+                    5 => {
+                        // The oldest entry: the front and its trailing gaps go.
+                        let oldest = model.keys().next().copied().unwrap_or(probe);
+                        prop_assert_eq!(ring.remove(oldest), model.remove(&oldest));
+                    }
+                    6 => {
+                        if let Some(v) = ring.get_mut(probe) {
+                            *v ^= 1;
+                        }
+                        if let Some(v) = model.get_mut(&probe) {
+                            *v ^= 1;
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(ring.get(probe), model.get(&probe));
+                prop_assert_eq!(ring.len(), model.len());
+                prop_assert_eq!(ring.is_empty(), model.is_empty());
+                // Slots start at the oldest held key and end by the newest issued.
+                match model.keys().next() {
+                    Some(&oldest) => {
+                        prop_assert_eq!(ring.base, oldest);
+                        prop_assert!(ring.slots.len() as u64 <= next_key - oldest);
+                    }
+                    None => prop_assert!(ring.slots.is_empty()),
+                }
+            }
+            for (key, value) in model {
+                prop_assert_eq!(ring.remove(key), Some(value));
+            }
+            prop_assert!(ring.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "keys arrive in increasing order")]
+    fn key_ring_rejects_a_key_it_has_passed() {
+        let mut ring = KeyRing::new();
+        ring.insert(7, ());
+        ring.insert(9, ());
+        ring.insert(8, ());
+    }
 
     #[test]
     fn spec_word_rounding() {

@@ -24,8 +24,9 @@
 //! * [`ChannelController::next_event_at`] computes the earliest cycle at
 //!   which a tick could do anything beyond linear bookkeeping — the head
 //!   of the in-flight data heap, the end of an RNG blockade, the next
-//!   refresh deadline, or the earliest bank/rank/bus readiness over the
-//!   queued requests.
+//!   refresh deadline (or the ACT fence a drained, pending REF waits
+//!   for), or the earliest bank/rank/bus readiness over the queued
+//!   requests.
 //! * [`ChannelController::skip_to`] bulk-applies the per-cycle accounting
 //!   (cycle/idle/occupancy counters, idle-period tracking, scheduler
 //!   catch-up) for a span the caller has proven dead, leaving the
@@ -738,9 +739,16 @@ impl<P: SchedulerPolicy> ChannelController<P> {
             return Some(event.min(self.blocked_until).max(now));
         }
         if self.refresh_pending {
-            // Refresh drain/REF issue spans only a handful of cycles; run
-            // them per-cycle rather than modelling the drain here.
-            return Some(now);
+            if self.open_banks > 0 {
+                // The drain precharges a bank a cycle for a handful of
+                // cycles; run them per-cycle rather than modelling it.
+                return Some(now);
+            }
+            // Drained: REF issues once the last ACT fence has passed (tRP
+            // after the drain; tRFC after the previous REF when refreshes
+            // a blockade postponed are caught up back to back). Until
+            // then a tick returns data and counts the cycle.
+            return Some(event.min(self.refresh_ready_at()).max(now));
         }
         event = event.min(self.next_refresh_due);
         event = event.min(queue_ready);
@@ -915,10 +923,11 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         if blocked {
             debug_assert!(to <= self.blocked_until, "skip across a blockade edge");
             self.stats.rng_blocked_cycles += n;
-        } else {
+        } else if !self.refresh_pending {
             // Unblocked ticks update the write-drain hysteresis from the
             // (span-stable) queue lengths every cycle; replay it once so
-            // `in_write_drain` does not go stale across the span.
+            // `in_write_drain` does not go stale across the span. (A tick
+            // waiting to issue REF stops before that update.)
             self.update_write_drain();
         }
         if self.queues_empty() && !blocked {
@@ -1108,6 +1117,17 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         }
     }
 
+    /// The cycle from which REF may issue on a drained channel: the last
+    /// bank's ACT fence.
+    fn refresh_ready_at(&self) -> u64 {
+        self.ct
+            .banks
+            .iter()
+            .map(Bank::next_act_allowed)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Refresh drain + REF issue. Returns true when the refresh machinery
     /// consumed this cycle's command slot (or is draining).
     fn refresh_step(&mut self, now: u64) -> bool {
@@ -1119,14 +1139,7 @@ impl<P: SchedulerPolicy> ChannelController<P> {
             }
         }
         if self.open_banks == 0 {
-            let ready = self
-                .ct
-                .banks
-                .iter()
-                .map(Bank::next_act_allowed)
-                .max()
-                .unwrap_or(0);
-            if now >= ready {
+            if now >= self.refresh_ready_at() {
                 let until = now + self.ct.timing.trfc as u64;
                 for bank in &mut self.ct.banks {
                     bank.lock_until(until);
@@ -1562,6 +1575,44 @@ mod tests {
             now += 1;
             assert!(now < 10_000, "a dead span must appear");
         }
+    }
+
+    #[test]
+    fn postponed_refreshes_are_caught_up_without_a_per_cycle_pin() {
+        // A blockade three refresh intervals long leaves three refreshes
+        // owed. They issue back to back, tRFC apart, and the wait for each
+        // ACT fence is a dead span, not tRFC live ticks.
+        let mut c = controller();
+        let t = *c.timing();
+        let (trefi, trfc) = (t.trefi as u64, t.trfc as u64);
+        let unblocked = 3 * trefi + 100;
+        c.block_until(unblocked);
+        c.skip_to(0, unblocked);
+        let mut done = Vec::new();
+        let mut now = unblocked;
+        let mut live = 0;
+        while c.stats().refreshes < 3 * c.ct.geometry.ranks as u64 {
+            let event = c.next_event_at(now).unwrap();
+            if event > now {
+                assert!(c.refresh_pending, "only the REF wait is dead here");
+                assert_eq!(event, c.refresh_ready_at());
+                // The stale drain flag a write issue can leave behind: a
+                // tick waiting for REF does not refresh it, nor may a skip.
+                c.in_write_drain = true;
+                assert_skip_matches_ticks(&c, now);
+                c.in_write_drain = false;
+                c.skip_to(now, event);
+                now = event;
+            } else {
+                c.tick(now, &mut done);
+                now += 1;
+                live += 1;
+            }
+        }
+        assert!(now - unblocked >= 2 * trfc, "REFs keep their tRFC spacing");
+        assert!(live <= 9, "{live} live ticks for three refreshes");
+        // Debt paid: the next event is the regular deadline again.
+        assert_eq!(c.next_event_at(now), Some(4 * trefi));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Fraction of cells that are timing-boundary ("variable") cells.
 const VARIABLE_CELL_FRACTION: f64 = 0.05;
@@ -138,16 +138,31 @@ type DieKey = (usize, u64, u32);
 /// Recently profiled dies, most recently used first.
 static DIE_MEMO: Mutex<Vec<Arc<ProfiledDie>>> = Mutex::new(Vec::new());
 
+/// Bits of a generator output that decide one cell read: `gen::<f32>()`
+/// is `(next_u64() >> 40) as f32 * 2⁻²⁴`, a multiple of 2⁻²⁴ that `f32`
+/// holds exactly.
+const SAMPLE_BITS: u32 = 24;
+
+/// The failure probability `p` as the integer a sample's top
+/// [`SAMPLE_BITS`] bits are compared with: `⌈p·2²⁴⌉`, computed exactly
+/// (scaling an `f32` by a power of two and rounding it up to an integer
+/// are both exact in `f64`). For the integer `k` a sample is built from,
+/// `k·2⁻²⁴ < p ⇔ k < p·2²⁴ ⇔ k < ⌈p·2²⁴⌉`, so `k < threshold(p)` is the
+/// bit [`CellArray::sample`] returns for the same generator output.
+fn threshold(p: f32) -> u32 {
+    (f64::from(p) * f64::from(1u32 << SAMPLE_BITS)).ceil() as u32
+}
+
 /// What profiling a die produces, and all that sampling it needs: the
-/// failure probabilities of its RNG cells in draw order plus the sampler
-/// state as profiling left it. A pure function of `(cells, seed,
-/// reads_per_cell)` and immutable, so every source over the same die
-/// shares one copy — D-RaNGe likewise profiles a device once and only
+/// failure thresholds ([`threshold`]) of its RNG cells in draw order plus
+/// the sampler state as profiling left it. A pure function of `(cells,
+/// seed, reads_per_cell)` and immutable, so every source over the same
+/// die shares one copy — D-RaNGe likewise profiles a device once and only
 /// samples it afterwards.
 struct ProfiledDie {
     key: DieKey,
     /// Never empty.
-    rng_probs: Box<[f32]>,
+    rng_thresholds: Box<[u32]>,
     sampler: SmallRng,
 }
 
@@ -162,7 +177,10 @@ impl ProfiledDie {
         );
         ProfiledDie {
             key,
-            rng_probs: rng_cells.iter().map(|&cell| array.probs[cell]).collect(),
+            rng_thresholds: rng_cells
+                .iter()
+                .map(|&cell| threshold(array.probs[cell]))
+                .collect(),
             sampler: array.rng,
         }
     }
@@ -209,7 +227,7 @@ impl fmt::Debug for ProfiledDie {
         f.debug_struct("ProfiledDie")
             .field("cells", &cells)
             .field("seed", &seed)
-            .field("rng_cells", &self.rng_probs.len())
+            .field("rng_cells", &self.rng_thresholds.len())
             .finish_non_exhaustive()
     }
 }
@@ -265,7 +283,7 @@ impl RngCellSource {
 
     /// Number of profiled RNG cells.
     pub fn rng_cell_count(&self) -> usize {
-        self.die.rng_probs.len()
+        self.die.rng_thresholds.len()
     }
 
     /// Draws `count` bits (1..=64) packed into the low bits of a `u64`.
@@ -275,15 +293,23 @@ impl RngCellSource {
     /// Panics if `count` is 0 or greater than 64.
     pub fn draw(&mut self, count: u32) -> u64 {
         assert!((1..=64).contains(&count), "count must be 1..=64");
-        let probs = &*self.die.rng_probs;
+        let thresholds = &*self.die.rng_thresholds;
         let mut word = 0u64;
-        for _ in 0..count {
-            let p = probs[self.cursor];
-            self.cursor += 1;
-            if self.cursor == probs.len() {
+        let mut left = count as usize;
+        // One contiguous run of cells per pass: up to the end of the table,
+        // then again from its start (a small die wraps more than once).
+        while left > 0 {
+            let run = &thresholds[self.cursor..];
+            let run = &run[..left.min(run.len())];
+            for &threshold in run {
+                let sample = self.rng.next_u64() >> (64 - SAMPLE_BITS);
+                word = (word << 1) | u64::from(sample < u64::from(threshold));
+            }
+            left -= run.len();
+            self.cursor += run.len();
+            if self.cursor == thresholds.len() {
                 self.cursor = 0;
             }
-            word = (word << 1) | u64::from(self.rng.gen::<f32>() < p);
         }
         word
     }
@@ -422,6 +448,83 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "count must be 1..=64")]
+    fn draw_rejects_more_than_a_word() {
+        RngCellSource::new(8192, 6, 50).draw(65);
+    }
+
+    /// A generator stuck on one output.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// One cell read in the float form of [`CellArray::sample`], from a
+    /// generator output with `k` in its top 24 bits and `low` below them.
+    fn float_read(k: u32, low: u64, p: f32) -> bool {
+        assert!(k < 1 << SAMPLE_BITS);
+        Fixed(u64::from(k) << 40 | low >> SAMPLE_BITS).gen::<f32>() < p
+    }
+
+    /// Checks `k < threshold(p)` against the float read for the `k`s
+    /// around the threshold, both ends of the range and a random sample.
+    fn assert_threshold_is_the_float_compare(p: f32, rng: &mut SmallRng) {
+        const TOP: u32 = (1 << SAMPLE_BITS) - 1;
+        let t = threshold(p);
+        let near = (t.saturating_sub(2)..=t.saturating_add(2)).filter(|&k| k <= TOP);
+        let far = [0, TOP, rng.gen::<u32>() >> 8, rng.gen::<u32>() >> 8];
+        for k in near.chain(far) {
+            assert_eq!(
+                k < t,
+                float_read(k, rng.next_u64(), p),
+                "p = {p:e} ({:#x}), threshold {t}, k = {k}",
+                p.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn threshold_compare_equals_float_compare() {
+        let mut rng = SmallRng::seed_from_u64(0x7412_E540);
+        // Every cell of the standard die (its RNG cells among them).
+        let die = CellArray::with_process_variation(STANDARD_CELLS, 11);
+        for &p in &die.probs {
+            assert_threshold_is_the_float_compare(p, &mut rng);
+        }
+        // Probabilities that are a sample value exactly, and their
+        // neighbours one ulp either side.
+        let scale = 1.0 / (1u32 << SAMPLE_BITS) as f32;
+        let spots = [0.0f32, 0.05, 0.4, 0.5, 0.6, 0.95, 1.0];
+        let js = spots
+            .iter()
+            .flat_map(|&spot| {
+                let j = (spot / scale) as u32;
+                j.saturating_sub(2)..=(j + 2).min(1 << SAMPLE_BITS)
+            })
+            .chain((0..2_000).map(|_| rng.gen::<u32>() >> 8))
+            .collect::<Vec<_>>();
+        for j in js {
+            let exact = j as f32 * scale;
+            assert_eq!(threshold(exact), j, "j·2⁻²⁴ is its own threshold");
+            let below = f32::from_bits(exact.to_bits().saturating_sub(1));
+            let above = f32::from_bits(exact.to_bits() + 1);
+            for p in [below, exact, above] {
+                assert_threshold_is_the_float_compare(p, &mut rng);
+            }
+        }
+        // Arbitrary probabilities around the band edges and the middle.
+        for centre in [0.05f32, 0.5, 0.95] {
+            for _ in 0..2_000 {
+                let p = centre + (rng.gen::<f32>() - 0.5) * 1e-3;
+                assert_threshold_is_the_float_compare(p, &mut rng);
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "must be non-empty")]
     fn empty_array_rejected() {
         CellArray::with_process_variation(0, 1);
@@ -511,7 +614,7 @@ mod tests {
     fn different_seeds_give_different_dies() {
         let mut a = RngCellSource::new(4_000, 30, 32);
         let mut b = RngCellSource::new(4_000, 31, 32);
-        assert_ne!(a.die.rng_probs, b.die.rng_probs);
+        assert_ne!(a.die.rng_thresholds, b.die.rng_thresholds);
         assert_ne!(words(&mut a, 8), words(&mut b, 8));
     }
 

@@ -107,7 +107,7 @@ impl TrngMechanism for ThroughputTrng {
     }
 
     fn draw(&mut self, count: u32) -> u64 {
-        self.source.draw(count.min(64))
+        self.source.draw(count)
     }
 }
 
@@ -136,6 +136,12 @@ mod tests {
     #[test]
     fn target_accessor_roundtrips() {
         assert_eq!(ThroughputTrng::new(800, 4, 2).target_mbps(), 800);
+    }
+
+    #[test]
+    #[should_panic(expected = "count must be 1..=64")]
+    fn draw_rejects_more_than_a_word() {
+        ThroughputTrng::new(800, 4, 2).draw(65);
     }
 
     #[test]

@@ -53,7 +53,13 @@ pub trait TrngMechanism: Send {
     /// Commands issued per round (for the energy model).
     fn batch_commands(&self) -> BatchCommands;
 
-    /// Draws `count` (1..=64) true-random bits from the entropy substrate.
+    /// Draws `count` (1..=64) true-random bits from the entropy substrate,
+    /// packed into the low bits of the result.
+    ///
+    /// # Panics
+    ///
+    /// The shipped mechanisms panic if `count` is 0 or greater than 64
+    /// ([`crate::RngCellSource::draw`] asserts it).
     fn draw(&mut self, count: u32) -> u64;
 
     /// Sustained buffer-fill throughput in Gb/s when `channels` channels

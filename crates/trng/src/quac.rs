@@ -81,7 +81,7 @@ impl TrngMechanism for QuacTrng {
     fn draw(&mut self, count: u32) -> u64 {
         // Raw sense-amp entropy, condensed by a hash-like mix standing in
         // for QUAC's SHA-256 post-processing stage.
-        let raw = self.source.draw(count.min(64));
+        let raw = self.source.draw(count);
         self.mix_state = self
             .mix_state
             .rotate_left(13)
@@ -129,6 +129,12 @@ mod tests {
             let w = q.draw(count);
             assert_eq!(w >> count, 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "count must be 1..=64")]
+    fn draw_rejects_more_than_a_word() {
+        QuacTrng::new(3).draw(65);
     }
 
     #[test]

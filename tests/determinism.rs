@@ -659,6 +659,41 @@ mod fastforward {
         }
 
         #[test]
+        fn quarantine_live_ticks_scale_with_events_not_its_length() {
+            // The same gate for a channel in quarantine. Saturating demand
+            // episodes blockade every channel past its refresh deadlines;
+            // the excluded channel drops out of the episodes, is unblocked,
+            // and pays the refreshes it owes back to back. Each REF waits
+            // tRFC for the one before it: a dead span, not a per-cycle pin
+            // for as long as the debt lasts (40 refreshes x 208 cycles
+            // here; the benchmark's 22 M-cycle `svc_saturated` round paid
+            // 27 000 live ticks a quarantine).
+            use dr_strange::core::{FairnessPolicy, FaultPlan, WatchdogConfig};
+            use dr_strange::workloads::contended_qos_service;
+            let healthy = SystemConfig::dr_strange(0)
+                .with_fairness(FairnessPolicy::aging())
+                .with_watchdog(WatchdogConfig::standard())
+                .with_service(contended_qos_service(64, 20));
+            let stuck = FaultPlan::new().channel_derate(250_000, 0, 0, 1, 10_000_000);
+            let cfg = healthy.clone().with_fault_plan(stuck);
+            let (fast, sys) = assert_saturated_modes_identical(cfg, &drange, "quarantine gate");
+            assert!(fast.stats.quarantines >= 1, "{:?}", fast.stats);
+            assert!(fast.stats.probe_rounds >= 2, "{:?}", fast.stats);
+            let refreshes: u64 = fast.channels.iter().map(|c| c.refreshes).sum();
+            assert!(refreshes >= 40, "the excluded channel caught up: {refreshes}");
+            // What the quarantine may add to the healthy run's live ticks:
+            // a few per refresh and per probe round.
+            let (_, _, healthy_sys) = run_coreless(&healthy, &drange, SimMode::FastForward);
+            let allowed = healthy_sys.live_ticks() + 8 * (refreshes + fast.stats.probe_rounds);
+            assert!(
+                sys.live_ticks() <= allowed,
+                "{} live ticks, {} without the quarantine, {refreshes} refreshes",
+                sys.live_ticks(),
+                healthy_sys.live_ticks()
+            );
+        }
+
+        #[test]
         fn external_mutation_while_blocked_is_bit_identical_across_modes() {
             // Manual WFQ sessions driven from outside the run loop:
             // submits, a session open and a session close all land while
