@@ -1,16 +1,11 @@
 //! Batched-runner benchmark: wall-clock speedup of the parallel
-//! (design × workload) matrix evaluation over the sequential reference,
-//! plus the probe cache's contribution to busy-workload fast-forward.
+//! (design × workload) matrix evaluation over the sequential reference.
 //!
 //! Emits `BENCH_batchrun.json` (in the working directory, or at
-//! `$BENCH_BATCHRUN_OUT`) with:
-//!
-//! * sequential vs parallel wall time for a figure-style matrix (3 designs
-//!   × `STRANGE_BATCH_WORKLOADS` dual-core workloads, default 12) and the
-//!   resulting speedup — bit-identity between the two paths is asserted,
-//!   not assumed;
-//! * the busy-workload fast-forward speedup over the per-cycle reference
-//!   with the O(1) next-event probe cache enabled and disabled.
+//! `$BENCH_BATCHRUN_OUT`) with sequential vs parallel wall time for a
+//! figure-style matrix (3 designs × `STRANGE_BATCH_WORKLOADS` dual-core
+//! workloads, default 12) and the resulting speedup — bit-identity
+//! between the two paths is asserted, not assumed.
 //!
 //! The parallel speedup scales with the host core count (`STRANGE_THREADS`
 //! caps it); on a single-core host it is ~1x by construction.
@@ -20,8 +15,6 @@ use std::time::Instant;
 use strange_bench::{
     eval_pair_matrix_with_threads, runner, Design, Harness, Mech, ScaleConfig,
 };
-use strange_core::{SimMode, System, SystemConfig};
-use strange_trng::DRange;
 use strange_workloads::{eval_pairs, Workload};
 
 fn batch_workloads() -> usize {
@@ -30,23 +23,6 @@ fn batch_workloads() -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(12)
-}
-
-/// Wall time of one full run of `cfg` over `workload`.
-fn run_wall_ms(cfg: &SystemConfig, workload: &Workload) -> f64 {
-    let mut sys = System::new(cfg.clone(), workload.traces(), Box::new(DRange::new(1)))
-        .expect("valid configuration");
-    let start = Instant::now();
-    sys.run();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Best-of-three wall time (one warm-up pass first).
-fn best_of_three(cfg: &SystemConfig, workload: &Workload) -> f64 {
-    run_wall_ms(cfg, workload);
-    (0..3)
-        .map(|_| run_wall_ms(cfg, workload))
-        .fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
@@ -84,26 +60,9 @@ fn main() {
         "matrix: sequential {sequential_ms:8.1} ms | parallel {parallel_ms:8.1} ms | speedup {parallel_speedup:5.2}x"
     );
 
-    // Probe-cache contribution on a busy workload (the paper's most
-    // memory-intensive pair at the highest RNG intensity): fast-forward
-    // vs per-cycle reference, cache on and off.
-    let busy = eval_pairs(5120).remove(0);
-    let base = SystemConfig::dr_strange(2).with_instruction_target(scale.instr);
-    let reference_ms = best_of_three(&base.clone().with_sim_mode(SimMode::Reference), &busy);
-    let ff_cache_on_ms = best_of_three(&base.clone().with_probe_cache(true), &busy);
-    let ff_cache_off_ms = best_of_three(&base.with_probe_cache(false), &busy);
-    let busy_speedup_cache_on = reference_ms / ff_cache_on_ms;
-    let busy_speedup_cache_off = reference_ms / ff_cache_off_ms;
-    println!(
-        "busy fast-forward: reference {reference_ms:7.1} ms | ff(cache on) {ff_cache_on_ms:7.1} ms \
-         ({busy_speedup_cache_on:4.2}x) | ff(cache off) {ff_cache_off_ms:7.1} ms ({busy_speedup_cache_off:4.2}x)"
-    );
-
     let json = format!(
         "{{\n  \"instr_target\": {},\n  \"threads\": {},\n  \"designs\": {},\n  \"workloads\": {},\n  \
-         \"sequential_ms\": {:.3},\n  \"parallel_ms\": {:.3},\n  \"parallel_speedup\": {:.3},\n  \
-         \"busy_reference_ms\": {:.3},\n  \"busy_ff_cache_on_ms\": {:.3},\n  \"busy_ff_cache_off_ms\": {:.3},\n  \
-         \"busy_speedup_cache_on\": {:.3},\n  \"busy_speedup_cache_off\": {:.3}\n}}\n",
+         \"sequential_ms\": {:.3},\n  \"parallel_ms\": {:.3},\n  \"parallel_speedup\": {:.3}\n}}\n",
         scale.instr,
         threads,
         designs.len(),
@@ -111,11 +70,6 @@ fn main() {
         sequential_ms,
         parallel_ms,
         parallel_speedup,
-        reference_ms,
-        ff_cache_on_ms,
-        ff_cache_off_ms,
-        busy_speedup_cache_on,
-        busy_speedup_cache_off,
     );
     let out = std::env::var("BENCH_BATCHRUN_OUT")
         .unwrap_or_else(|_| "BENCH_batchrun.json".to_string());

@@ -267,11 +267,7 @@ impl Design {
                 cfg
             }
         };
-        // Every design honors the perf-toggle environment overrides
-        // (`STRANGE_PROBE_CACHE`, `STRANGE_DIRTY_READINESS`,
-        // `STRANGE_BURST_EVENTS`), so any bench can A/B the fast-forward
-        // machinery without code changes.
-        cfg.with_instruction_target(instr).with_perf_toggles_from_env()
+        cfg.with_instruction_target(instr)
     }
 }
 

@@ -124,23 +124,6 @@ pub struct SystemConfig {
     /// How the simulation loop advances time (defaults to
     /// [`SimMode::FastForward`]; results are identical either way).
     pub sim_mode: SimMode,
-    /// Whether the per-channel O(1) next-event probe cache is enabled
-    /// (default true; results are identical either way — the switch lets
-    /// perf benchmarks isolate the cache's contribution). Also gates the
-    /// engine-level fill-state probe memoization.
-    pub probe_cache: bool,
-    /// Whether the per-channel dirty-tracked readiness cache is enabled
-    /// (default true; results are identical either way — live-tick
-    /// readiness rebuilds recompute only entries whose timing inputs
-    /// changed instead of the whole queue). A/B switch for the busy-tick
-    /// benchmarks, like `probe_cache`.
-    pub dirty_readiness: bool,
-    /// Whether RNG completions are scheduled as coalesced one-event
-    /// bursts (default true; results are identical either way — a
-    /// k-request burst becomes one heap event with k entries instead of
-    /// k events, so it no longer cuts a fast-forward bubble into k
-    /// spans). A/B switch for the busy-tick benchmarks.
-    pub burst_events: bool,
     /// Whether the random number buffer starts full (default true: a
     /// booted machine reaches a full buffer long before any measurement
     /// window). Disable for cold-start studies and the interactive
@@ -192,9 +175,6 @@ impl SystemConfig {
             priorities: Vec::new(),
             max_cpu_cycles: 0,
             sim_mode: SimMode::FastForward,
-            probe_cache: true,
-            dirty_readiness: true,
-            burst_events: true,
             prefill_buffer: true,
             service: ServiceConfig::default(),
             fairness: FairnessPolicy::Strict,
@@ -279,50 +259,6 @@ impl SystemConfig {
     /// Sets the simulation-loop mode (reference vs. fast-forward).
     pub fn with_sim_mode(mut self, sim_mode: SimMode) -> Self {
         self.sim_mode = sim_mode;
-        self
-    }
-
-    /// Enables or disables the per-channel next-event probe cache.
-    pub fn with_probe_cache(mut self, enabled: bool) -> Self {
-        self.probe_cache = enabled;
-        self
-    }
-
-    /// Enables or disables the per-channel dirty-tracked readiness cache.
-    pub fn with_dirty_readiness(mut self, enabled: bool) -> Self {
-        self.dirty_readiness = enabled;
-        self
-    }
-
-    /// Enables or disables coalesced one-event RNG completion bursts.
-    pub fn with_burst_events(mut self, enabled: bool) -> Self {
-        self.burst_events = enabled;
-        self
-    }
-
-    /// Applies the `STRANGE_PROBE_CACHE`, `STRANGE_DIRTY_READINESS`, and
-    /// `STRANGE_BURST_EVENTS` environment overrides (`0`/`false`/`off`
-    /// disables, `1`/`true`/`on` enables, anything else leaves the
-    /// built-in default). The bench harness routes every design's config
-    /// through this, so any existing benchmark can A/B the perf features
-    /// without code changes.
-    pub fn with_perf_toggles_from_env(mut self) -> Self {
-        fn read(var: &str) -> Option<bool> {
-            match std::env::var(var).ok()?.to_ascii_lowercase().as_str() {
-                "0" | "false" | "off" => Some(false),
-                "1" | "true" | "on" => Some(true),
-                _ => None,
-            }
-        }
-        if let Some(v) = read("STRANGE_PROBE_CACHE") {
-            self.probe_cache = v;
-        }
-        if let Some(v) = read("STRANGE_DIRTY_READINESS") {
-            self.dirty_readiness = v;
-        }
-        if let Some(v) = read("STRANGE_BURST_EVENTS") {
-            self.burst_events = v;
-        }
         self
     }
 

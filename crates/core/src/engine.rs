@@ -17,7 +17,6 @@
 //!   path, with mispredictions mechanically stalling the requests that
 //!   arrive while a round holds the channel.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -127,9 +126,9 @@ type BurstEntry = (RequestId, CoreId, u64, bool);
 /// bubble into eight spans. Heap ordering is on `(due, seq)` alone —
 /// `seq` is a unique monotone push counter, so the order is total and
 /// the payload never tiebreaks. Delivery order to the completion drain
-/// is re-normalized to the legacy per-entry `(due, id)` order (entries
-/// are id-sorted at push; same-due multi-burst ticks re-sort the merged
-/// run), which is what keeps burst-on ≡ burst-off bit-identical.
+/// is re-normalized to per-entry `(due, id)` order (entries are
+/// id-sorted at push; same-due multi-burst ticks re-sort the merged
+/// run), so it does not depend on how completions were grouped.
 #[derive(Debug, Clone)]
 struct RngBurst {
     due: u64,
@@ -155,21 +154,6 @@ impl PartialOrd for RngBurst {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// One memoized fill-state probe result (see [`MemSubsystem::fill_bound`]).
-#[derive(Debug, Clone, Copy)]
-struct FillProbe {
-    /// Σ of per-channel probe epochs at computation time.
-    chan_epochs: u64,
-    /// Engine fill epoch at computation time.
-    fill_epoch: u64,
-    /// The computed bound (absolute cycle; ≤ `now` means "tick live").
-    bound: u64,
-    /// First cycle at which a predicate suppressed by an RNG blockade
-    /// could flip by time passage alone (earliest `blocked_until`); the
-    /// entry must not be used at or past it.
-    valid_until: u64,
 }
 
 /// Per-channel fill/idle bookkeeping.
@@ -252,9 +236,7 @@ pub struct MemSubsystem {
     /// the buffer-serve path does not rescan one byte per session ever
     /// opened.
     nondefault_priorities: usize,
-    /// Due RNG completion bursts (see [`RngBurst`]). With
-    /// `config.burst_events` off, every entry is its own single-event
-    /// burst — the legacy per-request event granularity.
+    /// Due RNG completion bursts (see [`RngBurst`]).
     rng_done: BinaryHeap<Reverse<RngBurst>>,
     /// Monotone push counter: the burst heap's unique tiebreak.
     burst_seq: u64,
@@ -263,13 +245,6 @@ pub struct MemSubsystem {
     burst_pool: Vec<Vec<BurstEntry>>,
     completed_scratch: Vec<CompletedAccess>,
     value_log: Option<Vec<u64>>,
-    /// Memoized fill-state probe; stale when either epoch changes or
-    /// `valid_until` passes.
-    fill_probe: Cell<Option<FillProbe>>,
-    /// Engine-local mutation counter for fill-relevant state the channel
-    /// epochs cannot see: buffer content, demand episodes, fill rounds,
-    /// idle-edge processing, low-utilization pacing.
-    fill_epoch: Cell<u64>,
     stats: SystemStats,
 }
 
@@ -286,12 +261,7 @@ impl MemSubsystem {
             SchedulerKind::Bliss => AnyPolicy::Bliss(Bliss::paper_default()),
         };
         let channels: Vec<_> = (0..geometry.channels)
-            .map(|i| {
-                let mut ch = ChannelController::new(i, geometry, timing, make_policy());
-                ch.set_probe_cache(config.probe_cache);
-                ch.set_dirty_readiness(config.dirty_readiness);
-                ch
-            })
+            .map(|i| ChannelController::new(i, geometry, timing, make_policy()))
             .collect();
         let predictors = (0..geometry.channels)
             .map(|_| match config.predictor {
@@ -350,22 +320,11 @@ impl MemSubsystem {
             burst_pool: Vec::new(),
             completed_scratch: Vec::new(),
             value_log: None,
-            fill_probe: Cell::new(None),
-            fill_epoch: Cell::new(0),
             stats: SystemStats::new(),
             channels,
             mechanism,
             config,
         }
-    }
-
-    /// Marks the memoized fill-state probe stale. Must accompany every
-    /// mutation of fill-relevant state that the per-channel probe epochs
-    /// do not capture: buffer pushes/pops, demand-episode start/end, fill
-    /// round start/end, processed idle edges, blockade extensions, and
-    /// low-utilization pacing updates.
-    fn touch_fill(&self) {
-        self.fill_epoch.set(self.fill_epoch.get().wrapping_add(1));
     }
 
     /// Enables or disables logging of served random values (kept to the
@@ -441,8 +400,7 @@ impl MemSubsystem {
     /// entropy-health watchdog has it quarantined / on probation. Both
     /// ride the same failover paths; the difference is that outages
     /// expire by time passage (bounded by `chan_out_until`) while health
-    /// exclusion flips only at watchdog transitions, each of which bumps
-    /// the fill epoch.
+    /// exclusion flips only at watchdog transitions.
     fn chan_unavailable(&self, i: usize, now: u64) -> bool {
         self.chan_out(i, now) || self.watchdog.excluded(i)
     }
@@ -478,13 +436,7 @@ impl MemSubsystem {
         if !self.watchdog.enabled() || self.watchdog.excluded(chan) {
             return;
         }
-        if self
-            .watchdog
-            .observe_bits(chan, word, take, now, &mut self.stats)
-        {
-            // Quarantine flips the fill predicates for this channel.
-            self.touch_fill();
-        }
+        self.watchdog.observe_bits(chan, word, take, now, &mut self.stats);
     }
 
     /// Runs due probe rounds on excluded channels: draw `probe_words`
@@ -533,9 +485,6 @@ impl MemSubsystem {
             self.stats.probe_rounds += 1;
             self.stats.tainted_words_discarded += n as u64;
             self.watchdog.run_probe(i, &words, now, &mut self.stats);
-            // Blockade extension + possible state transition both stale
-            // the fill probe.
-            self.touch_fill();
         }
     }
 
@@ -573,18 +522,14 @@ impl MemSubsystem {
             match kind {
                 FaultKind::ChannelOutage { channel, duration } => {
                     let i = channel as usize;
+                    // The recovery edge bounds `fill_bound`.
                     self.chan_out_until[i] = self.chan_out_until[i].max(now + duration);
-                    // Outages flip fill predicates without touching any
-                    // channel epoch; recovery bounds live in
-                    // `fill_bound_scan` and the probe's `valid_until`.
-                    self.touch_fill();
                 }
                 FaultKind::StallStorm { channel, duration } => {
                     // The blockade machinery already owns "no commands
-                    // issue until cycle X": next-event and probe-cache
-                    // handling of the recovery edge come for free.
+                    // issue until cycle X": next-event handling of the
+                    // recovery edge comes for free.
                     self.channels[channel as usize].block_until(now + duration);
-                    self.touch_fill();
                 }
                 FaultKind::EntropyDerate { num, den, duration } => {
                     self.derate_until = now + duration;
@@ -594,7 +539,6 @@ impl MemSubsystem {
                 FaultKind::BufferCorruption { words } => {
                     let discarded = self.buffer.discard_words(words as usize);
                     self.stats.corrupted_words_discarded += discarded as u64;
-                    self.touch_fill();
                 }
                 FaultKind::ChannelDerate {
                     channel,
@@ -607,8 +551,8 @@ impl MemSubsystem {
                     // Stuck-at-one mask over the degraded bit fraction:
                     // only the low `64 * num / den` bits stay random.
                     // Bias changes word *values* at draw sites (always
-                    // live ticks), never scheduling, so no fill-probe or
-                    // next-event impact.
+                    // live ticks), never scheduling, so no next-event
+                    // impact.
                     let usable = (64 * num as u64 / den as u64) as u32;
                     self.bias_mask[i] = (!0u64).checked_shl(usable).unwrap_or(0);
                 }
@@ -675,68 +619,14 @@ impl MemSubsystem {
         event.max(now)
     }
 
-    /// Sum of the per-channel probe epochs: one pointer read per channel,
-    /// unchanged iff no channel mutated scheduling-relevant state.
-    fn chan_epoch_sum(&self) -> u64 {
-        self.channels
-            .iter()
-            .fold(0u64, |acc, ch| acc.wrapping_add(ch.probe_epoch()))
-    }
-
     /// The fill-state portion of [`MemSubsystem::next_event_at`] (fill
     /// rounds, greedy threshold crossings, idle edges, low-utilization
-    /// pacing), memoized on `(Σ channel epochs, fill epoch)`. The cached
-    /// value is an absolute cycle: anything at or before `now` means "the
-    /// next tick must run live", and the greedy/low-util bounds are stable
-    /// absolutes within an invalidation window, so a hit skips the whole
-    /// per-channel predicate walk.
+    /// pacing, outage recoveries) as an absolute cycle: anything at or
+    /// before `now` means "the next tick must run live".
     fn fill_bound(&self, now: u64) -> u64 {
         if self.config.fill == FillMode::None {
             return u64::MAX;
         }
-        let chan_epochs = self.chan_epoch_sum();
-        let fill_epoch = self.fill_epoch.get();
-        if self.config.probe_cache {
-            if let Some(p) = self.fill_probe.get() {
-                if p.chan_epochs == chan_epochs
-                    && p.fill_epoch == fill_epoch
-                    && now < p.valid_until
-                {
-                    debug_assert_eq!(
-                        p.bound.max(now),
-                        self.fill_bound_scan(now).max(now),
-                        "stale fill-probe cache"
-                    );
-                    return p.bound;
-                }
-            }
-        }
-        let bound = self.fill_bound_scan(now);
-        if self.config.probe_cache {
-            // Blockade and outage expiries re-enable suppressed fill
-            // predicates with no state mutation, so the entry dies at the
-            // earliest one.
-            let valid_until = self
-                .channels
-                .iter()
-                .map(|ch| ch.blocked_until())
-                .chain(self.chan_out_until.iter().copied())
-                .filter(|&b| b > now)
-                .min()
-                .unwrap_or(u64::MAX);
-            self.fill_probe.set(Some(FillProbe {
-                chan_epochs,
-                fill_epoch,
-                bound,
-                valid_until,
-            }));
-        }
-        bound
-    }
-
-    /// Recomputes the fill-state bound from scratch (the memoization's
-    /// oracle).
-    fn fill_bound_scan(&self, now: u64) -> u64 {
         let mut event = u64::MAX;
         // An outage expiry re-enables this channel's fill predicates by
         // time passage alone; the recovery cycle must tick live.
@@ -876,7 +766,6 @@ impl MemSubsystem {
         if let Some(f) = self.demand_finish {
             if now >= f {
                 self.demand_finish = None;
-                self.touch_fill();
                 if self.config.fill == FillMode::Predictive {
                     for i in 0..self.channels.len() {
                         if self.channels[i].queues_empty()
@@ -999,7 +888,6 @@ impl MemSubsystem {
         if self.rng_queue.is_empty() || self.buffer.available_words() == 0 {
             return;
         }
-        self.touch_fill();
         let by_priority = self.priorities_differentiate();
         // Every word served this cycle matures together: one burst event.
         let due = now + self.config.buffer_serve_latency;
@@ -1096,28 +984,18 @@ impl MemSubsystem {
         }
     }
 
-    /// Commits `entries` to complete at `due`: one coalesced heap event
-    /// with `burst_events` on, or one single-entry event per completion
-    /// (the legacy granularity) with it off. Entries are id-sorted so a
-    /// lone burst drains in delivery order without a sort.
+    /// Commits `entries` to complete at `due` as one coalesced heap event.
+    /// Entries are id-sorted so a lone burst drains in delivery order
+    /// without a sort.
     fn push_burst(&mut self, due: u64, mut entries: Vec<BurstEntry>) {
         if entries.is_empty() {
             self.recycle_burst_vec(entries);
             return;
         }
         entries.sort_unstable_by_key(|e| e.0);
-        if self.config.burst_events {
-            self.burst_seq += 1;
-            let seq = self.burst_seq;
-            self.rng_done.push(Reverse(RngBurst { due, seq, entries }));
-        } else {
-            for e in entries.drain(..) {
-                self.burst_seq += 1;
-                let seq = self.burst_seq;
-                self.rng_done.push(Reverse(RngBurst { due, seq, entries: vec![e] }));
-            }
-            self.recycle_burst_vec(entries);
-        }
+        self.burst_seq += 1;
+        let seq = self.burst_seq;
+        self.rng_done.push(Reverse(RngBurst { due, seq, entries }));
     }
 
     /// [`MemSubsystem::push_burst`] for a single completion.
@@ -1264,7 +1142,6 @@ impl MemSubsystem {
     /// rate rather than failure).
     fn start_demand_generation(&mut self, now: u64, requests: Vec<Request>) {
         debug_assert!(!requests.is_empty());
-        self.touch_fill();
         // Resolve any in-flight fill rounds first: their bits land, their
         // occupancy is folded into the episode start. (Rounds that started
         // before an outage still deliver — the cells sampled before the
@@ -1368,7 +1245,6 @@ impl MemSubsystem {
     /// Starts one generation round on channel `i`, blocking it for
     /// `extra_switch + batch_latency` cycles and accounting the commands.
     fn start_fill_round(&mut self, i: usize, now: u64, extra_switch: u64, low_util: bool) {
-        self.touch_fill();
         let end = now + extra_switch + self.mechanism.batch_latency();
         self.fill[i].fill_end = Some(end);
         self.fill[i].fill_is_low_util = low_util;
@@ -1381,7 +1257,6 @@ impl MemSubsystem {
     /// applying that channel's quality-derate bias (if active) and
     /// sampling full words into its health window.
     fn deliver_batch_bits(&mut self, chan: usize, bits: u32) {
-        self.touch_fill();
         let now = self.mem_now;
         let mut remaining = bits;
         while remaining > 0 {
@@ -1409,10 +1284,6 @@ impl MemSubsystem {
         let bits = self.effective_batch_bits(now);
         for i in 0..self.channels.len() {
             let idle_now = self.channels[i].queues_empty();
-            if idle_now != self.fill[i].was_idle {
-                // Idle edge processed: the greedy threshold crossing moves.
-                self.touch_fill();
-            }
             if idle_now {
                 self.fill[i].idle_len += 1;
                 if self.fill[i].idle_len == threshold
@@ -1447,9 +1318,6 @@ impl MemSubsystem {
             // 1. Complete a due fill round.
             if let Some(end) = self.fill[i].fill_end {
                 if now >= end {
-                    // Touches the fill probe via deliver_batch_bits; the
-                    // round end, chaining decision, and blockade extension
-                    // below are all covered by that bump.
                     self.deliver_batch_bits(i, batch_bits);
                     let st = &mut self.fill[i];
                     st.fill_end = None;
@@ -1482,11 +1350,6 @@ impl MemSubsystem {
             // 2. Idle-period edge tracking and prediction.
             let idle_now = self.channels[i].queues_empty();
             let was_idle = self.fill[i].was_idle;
-            if idle_now != was_idle {
-                // Edge processed (prediction or training below): the
-                // cached fill bound no longer reflects this channel.
-                self.touch_fill();
-            }
             if idle_now {
                 self.fill[i].idle_len += 1;
                 if !was_idle {
@@ -1543,7 +1406,6 @@ impl MemSubsystem {
                         self.start_fill_round(i, now, fill_switch, true);
                     } else {
                         self.fill[i].last_low_util_end = now;
-                        self.touch_fill();
                     }
                 }
             }
@@ -1665,7 +1527,6 @@ impl MemorySystem for MemSubsystem {
                 // paper's Figure 4 flowchart).
                 if buffered {
                     let word = self.buffer.pop_word().expect("word available");
-                    self.touch_fill();
                     self.stats.rng_requests += 1;
                     self.log_value(word);
                     let due = self.mem_now + self.config.buffer_serve_latency;

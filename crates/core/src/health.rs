@@ -28,9 +28,8 @@
 //!   construction (words are only drawn inside `tick`);
 //! * probe rounds fire at `probe_due` cycles that the engine folds into
 //!   `next_event_at`, exactly like pending fault-plan events;
-//! * exclusion flips only inside those transitions, each of which bumps
-//!   the engine's fill epoch, so the memoized fill probe never caches
-//!   across a health transition.
+//! * exclusion flips only inside those transitions, and the engine's
+//!   fill bound reads it afresh at every probe.
 //!
 //! Reference ≡ FastForward bit-identity therefore holds under any
 //! watchdog configuration (`tests/robustness.rs`, `tests/chaos.rs`).
@@ -256,8 +255,7 @@ impl Watchdog {
     /// live path. Bits pack low-first into the channel's sub-word
     /// accumulator (predictive fill delivers chunks smaller than 64);
     /// each completed 64-bit word enters the sliding window via
-    /// [`Watchdog::observe`]. Returns true iff the channel transitioned
-    /// into quarantine.
+    /// [`Watchdog::observe`].
     pub(crate) fn observe_bits(
         &mut self,
         i: usize,
@@ -265,7 +263,7 @@ impl Watchdog {
         take: u32,
         now: u64,
         stats: &mut SystemStats,
-    ) -> bool {
+    ) {
         debug_assert!(self.cfg.enabled);
         debug_assert!((1..=64).contains(&take));
         let bits = if take == 64 {
@@ -278,12 +276,12 @@ impl Watchdog {
         if take < avail {
             ch.acc |= bits << ch.acc_bits;
             ch.acc_bits += take;
-            return false;
+            return;
         }
         let word = ch.acc | (bits << ch.acc_bits);
         ch.acc = if avail >= 64 { 0 } else { bits >> avail };
         ch.acc_bits = take - avail;
-        self.observe(i, word, now, stats)
+        self.observe(i, word, now, stats);
     }
 
     /// Samples one full generated word for channel `i` on the live path.

@@ -42,38 +42,12 @@
 //! preparation, drain-flag flips). The controller therefore memoizes the
 //! scan result in a [`Cell`] and invalidates it at exactly those points,
 //! making repeated probes (and ticks on which nothing can issue) O(1)
-//! instead of O(queue length). [`ChannelController::next_event_at_uncached`]
-//! recomputes from scratch and serves as the invalidation-correctness
-//! oracle for the property tests.
-//!
-//! # Dirty-tracked readiness
-//!
-//! Live ticks (cycles on which a command *can* issue) used to recompute
-//! [`Readiness`] from scratch for every queued read — bank state, rank
-//! ACT window, and bus turnaround per entry — even though at most one
-//! command issues per cycle and so at most a handful of entries changed.
-//! The controller now keeps a per-entry readiness cache, index-aligned
-//! with the read queue, and versions each entry's timing inputs with
-//! epoch counters ([`ReadinessEpochs`]):
-//!
-//! | command issued        | epochs bumped                   | entries invalidated            |
-//! |-----------------------|---------------------------------|--------------------------------|
-//! | PRE (incl. refresh drain) | that bank                   | same-bank                      |
-//! | ACT                   | that bank + that rank           | same-bank, same-rank `Activate`s (tRRD/tFAW) |
-//! | RD / WR               | that bank + the bus             | same-bank, every `Column` (tCCD/turnaround) |
-//! | REF / RNG-mode precharge sweep | global                 | everything (rare, many banks touched) |
-//!
-//! Validation is lazy: an entry is recomputed at its next use iff one of
-//! its recorded epochs moved. `ready_now` is *derived* per rebuild from
-//! the cached `(next, ready_at)` plus the live `now`/`refresh_pending`,
-//! so time passage and refresh edges invalidate nothing. Enqueues push a
-//! stale slot and `swap_remove`s patch single slots, keeping alignment
-//! O(1). Debug builds compare every derived entry against the fresh
-//! [`CommandTiming::readiness_of`] scan (the probe-cache oracle pattern);
-//! `tests/readiness_dirty.rs` drives the same oracle through random op
-//! streams.
+//! instead of O(queue length). The memo has no off switch: debug builds
+//! compare every hit against the fresh scan, and
+//! [`ChannelController::next_event_at_uncached`] recomputes from scratch
+//! as the oracle for the property tests.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -118,120 +92,6 @@ enum NextCommand {
     Precharge,
     Activate,
     Column,
-}
-
-/// One dirty-tracked readiness entry: the request's resolved next command
-/// and its earliest issue cycle, stamped with the epochs of every timing
-/// input that went into computing them. The entry is valid while those
-/// epochs are unchanged.
-#[derive(Debug, Clone, Copy)]
-struct CachedReadiness {
-    next: NextCommand,
-    ready_at: u64,
-    bank_ep: u64,
-    rank_ep: u64,
-    bus_ep: u64,
-    global_ep: u64,
-}
-
-/// Epoch counters versioning the timing inputs of [`CachedReadiness`]
-/// entries. Command-issue sites bump exactly the counters whose state
-/// they mutate (see the module-level invalidation matrix); an entry whose
-/// recorded epochs all still match is provably unaffected by every issue
-/// since it was computed.
-#[derive(Debug, Clone)]
-struct ReadinessEpochs {
-    bank: Vec<u64>,
-    rank: Vec<u64>,
-    bus: u64,
-    global: u64,
-}
-
-impl ReadinessEpochs {
-    fn new(nbanks: usize, nranks: usize) -> Self {
-        ReadinessEpochs {
-            bank: vec![0; nbanks],
-            rank: vec![0; nranks],
-            bus: 0,
-            global: 0,
-        }
-    }
-
-    fn touch_bank(&mut self, b: usize) {
-        self.bank[b] = self.bank[b].wrapping_add(1);
-    }
-
-    fn touch_rank(&mut self, r: usize) {
-        self.rank[r] = self.rank[r].wrapping_add(1);
-    }
-
-    fn touch_bus(&mut self) {
-        self.bus = self.bus.wrapping_add(1);
-    }
-
-    fn touch_all(&mut self) {
-        self.global = self.global.wrapping_add(1);
-    }
-
-    /// A cache slot guaranteed stale against the current epochs (the
-    /// global epoch only moves forward, so a back-dated stamp never
-    /// revalidates by accident).
-    fn stale_entry(&self) -> CachedReadiness {
-        CachedReadiness {
-            next: NextCommand::Activate,
-            ready_at: 0,
-            bank_ep: 0,
-            rank_ep: 0,
-            bus_ep: 0,
-            global_ep: self.global.wrapping_sub(1),
-        }
-    }
-}
-
-/// Revalidates one cached entry against the current epochs, recomputing
-/// it from the timing state when any recorded input changed. Returns
-/// whether a recompute happened. Entries needing an `Activate` depend on
-/// the rank ACT window, entries needing a `Column` on the bus; a
-/// `Precharge` depends on its bank alone.
-fn revalidate_entry(
-    ct: &CommandTiming,
-    eps: &ReadinessEpochs,
-    req: &Request,
-    e: &mut CachedReadiness,
-) -> bool {
-    let bidx = ct.bank_index(req);
-    let rank = req.addr.rank as usize;
-    let valid = e.global_ep == eps.global
-        && e.bank_ep == eps.bank[bidx]
-        && match e.next {
-            NextCommand::Activate => e.rank_ep == eps.rank[rank],
-            NextCommand::Column => e.bus_ep == eps.bus,
-            NextCommand::Precharge => true,
-        };
-    if valid {
-        return false;
-    }
-    let next = ct.next_command(req);
-    *e = CachedReadiness {
-        next,
-        ready_at: ct.ready_at_for(req, next),
-        bank_ep: eps.bank[bidx],
-        rank_ep: eps.rank[rank],
-        bus_ep: eps.bus,
-        global_ep: eps.global,
-    };
-    true
-}
-
-/// Derives a request's [`Readiness`] from its (revalidated) cache entry
-/// and the live tick inputs. Mirrors [`CommandTiming::readiness_of`]:
-/// a pending refresh gates new `Column`/`Activate` commands but not the
-/// precharges the drain needs.
-fn derive_readiness(now: u64, refresh_pending: bool, e: &CachedReadiness) -> Readiness {
-    Readiness {
-        ready_now: now >= e.ready_at && (e.next == NextCommand::Precharge || !refresh_pending),
-        row_hit: e.next == NextCommand::Column,
-    }
 }
 
 /// The command-timing state of one channel: banks, ranks, and the data
@@ -369,31 +229,15 @@ pub struct ChannelController<P> {
     last_enqueued_line: u64,
     stats: ChannelStats,
     readiness_buf: Vec<Readiness>,
-    /// Dirty-tracked readiness cache, index-aligned with `read_q` at all
-    /// times (maintained even while `dirty_readiness` is off, so the
-    /// toggle can flip mid-run). `RefCell` because the `&self` probe path
-    /// refreshes stale entries in place too — without that, every
-    /// post-issue probe rescan would pay the full recompute the tick path
-    /// just avoided.
-    read_cache: RefCell<Vec<CachedReadiness>>,
-    eps: ReadinessEpochs,
-    dirty_readiness: bool,
-    /// Diagnostic rebuild/recompute counters (deliberately not in
-    /// `ChannelStats`: rebuild counts legitimately differ between
-    /// per-cycle and skipped execution, which the stats-equality tests
-    /// would reject).
+    /// Diagnostic rebuild counters (deliberately not in `ChannelStats`:
+    /// rebuild counts legitimately differ between per-cycle and skipped
+    /// execution, which the stats-equality tests would reject).
     read_rebuilds: u64,
     write_rebuilds: u64,
-    readiness_recomputed: u64,
     readiness_scanned: u64,
-    probe_cache_enabled: bool,
     /// Memoized earliest-ready cycle over the queue the controller would
     /// serve (`u64::MAX` when that queue is empty); `None` when stale.
     queue_ready_cache: Cell<Option<u64>>,
-    /// Monotonic mutation counter, bumped at every probe-invalidation
-    /// point. Engine-level probe caches key on the sum of these to detect
-    /// channel-state changes with one pointer read per channel.
-    probe_epoch: Cell<u64>,
 }
 
 impl<P: SchedulerPolicy> ChannelController<P> {
@@ -426,43 +270,11 @@ impl<P: SchedulerPolicy> ChannelController<P> {
             last_enqueued_line: 0,
             stats: ChannelStats::new(),
             readiness_buf: Vec::with_capacity(DEFAULT_QUEUE_CAPACITY),
-            read_cache: RefCell::new(Vec::with_capacity(DEFAULT_QUEUE_CAPACITY)),
-            eps: ReadinessEpochs::new(nbanks, geometry.ranks as usize),
-            dirty_readiness: true,
             read_rebuilds: 0,
             write_rebuilds: 0,
-            readiness_recomputed: 0,
             readiness_scanned: 0,
-            probe_cache_enabled: true,
             queue_ready_cache: Cell::new(None),
-            probe_epoch: Cell::new(0),
         }
-    }
-
-    /// Enables or disables the O(1) probe cache (enabled by default).
-    /// Disabling forces every [`ChannelController::next_event_at`] call to
-    /// re-scan the queues; results are identical either way — the switch
-    /// exists so perf benchmarks can measure the cache's contribution.
-    pub fn set_probe_cache(&mut self, enabled: bool) {
-        self.probe_cache_enabled = enabled;
-        self.queue_ready_cache.set(None);
-    }
-
-    /// Enables or disables dirty-tracked readiness for the read queue
-    /// (enabled by default). Disabling forces every rebuild back to the
-    /// fresh full rescan; results are identical either way — the switch
-    /// exists so perf benchmarks can measure the cache's contribution.
-    pub fn set_dirty_readiness(&mut self, enabled: bool) {
-        self.dirty_readiness = enabled;
-        // The cache stayed aligned (and its epochs truthful) while off,
-        // so this re-stale is belt-and-braces, not correctness-bearing.
-        let stale = self.eps.stale_entry();
-        self.read_cache.get_mut().iter_mut().for_each(|e| *e = stale);
-    }
-
-    /// Whether dirty-tracked readiness is enabled.
-    pub fn dirty_readiness(&self) -> bool {
-        self.dirty_readiness
     }
 
     /// Diagnostic: times `tick` built the read-queue readiness buffer.
@@ -477,12 +289,12 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         self.write_rebuilds
     }
 
-    /// Diagnostic: `(recomputed, visited)` cache-entry totals across read
-    /// readiness rebuilds; `recomputed/visited` is the dirty fraction the
-    /// sublinear-busy-tick claim rests on (1.0 when dirty tracking is
-    /// off, since every visit is then a fresh compute).
+    /// Diagnostic: `(recomputed, visited)` entry totals across read
+    /// readiness rebuilds. Every rebuild computes each entry afresh, so
+    /// this is `(visited, visited)`; the pair is kept for the
+    /// benchmark's `dram.readiness_recompute_ratio`.
     pub fn readiness_recompute_counts(&self) -> (u64, u64) {
-        (self.readiness_recomputed, self.readiness_scanned)
+        (self.readiness_scanned, self.readiness_scanned)
     }
 
     /// Marks the memoized earliest-ready scan stale. Must be called by
@@ -491,15 +303,6 @@ impl<P: SchedulerPolicy> ChannelController<P> {
     /// activity, RNG mode preparation, and write-drain flag flips.
     fn invalidate_probe(&self) {
         self.queue_ready_cache.set(None);
-        self.probe_epoch.set(self.probe_epoch.get().wrapping_add(1));
-    }
-
-    /// Monotonic counter of probe-relevant state mutations (queue content,
-    /// command issue, refresh activity, RNG-mode preparation, drain-flag
-    /// flips). Unchanged epoch ⇒ the channel's scheduling-relevant state
-    /// is unchanged; higher layers key their own probe memoizations on it.
-    pub fn probe_epoch(&self) -> u64 {
-        self.probe_epoch.get()
     }
 
     /// Applies the write-drain hysteresis update from the current queue
@@ -580,11 +383,7 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         self.last_enqueued_line = self.mapping.encode(&req.addr);
         match req.kind {
             RequestKind::Write => self.write_q.push(req),
-            RequestKind::Read | RequestKind::Rng => {
-                self.read_q.push(req);
-                let stale = self.eps.stale_entry();
-                self.read_cache.get_mut().push(stale);
-            }
+            RequestKind::Read | RequestKind::Rng => self.read_q.push(req),
         }
         self.invalidate_probe();
         Ok(())
@@ -641,12 +440,6 @@ impl<P: SchedulerPolicy> ChannelController<P> {
                 true
             }
         });
-        // `retain` reshuffles arbitrarily many slots; realign the cache
-        // as all-stale rather than mirroring the removal pattern.
-        let stale = self.eps.stale_entry();
-        let cache = self.read_cache.get_mut();
-        cache.clear();
-        cache.resize(self.read_q.len(), stale);
         self.invalidate_probe();
         out
     }
@@ -670,9 +463,6 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         }
         self.open_banks = 0;
         self.act_owner.iter_mut().for_each(|o| *o = None);
-        // The precharge sweep can touch every bank: one global bump beats
-        // per-bank bookkeeping for this rare event.
-        self.eps.touch_all();
         self.invalidate_probe();
         ready
     }
@@ -771,133 +561,28 @@ impl<P: SchedulerPolicy> ChannelController<P> {
 
     /// Earliest cycle at which any request in the serving queue could have
     /// its next command issued, memoized (`u64::MAX` when the queue is
-    /// empty).
+    /// empty). Debug builds check every hit against the fresh scan.
     fn queue_ready_at(&self) -> u64 {
-        if self.probe_cache_enabled {
-            if let Some(v) = self.queue_ready_cache.get() {
-                return v;
-            }
+        if let Some(v) = self.queue_ready_cache.get() {
+            debug_assert_eq!(v, self.queue_ready_scan(), "stale probe cache");
+            return v;
         }
         let v = self.queue_ready_scan();
-        if self.probe_cache_enabled {
-            self.queue_ready_cache.set(Some(v));
-        }
+        self.queue_ready_cache.set(Some(v));
         v
     }
 
     fn queue_ready_scan(&self) -> u64 {
-        if self.would_serve_writes() {
-            self.write_q
-                .iter()
-                .map(|r| self.ct.ready_at(r))
-                .min()
-                .unwrap_or(u64::MAX)
+        let queue = if self.would_serve_writes() {
+            &self.write_q
         } else {
-            self.read_queue_ready_scan()
-        }
-    }
-
-    /// Earliest `ready_at` over the read queue, through the dirty-tracked
-    /// cache when enabled (refreshing stale entries in place — this runs
-    /// on the `&self` probe path after every command issue, which is
-    /// exactly where the post-issue rescan used to pay the full
-    /// recompute).
-    fn read_queue_ready_scan(&self) -> u64 {
-        if !self.dirty_readiness {
-            return self
-                .read_q
-                .iter()
-                .map(|r| self.ct.ready_at(r))
-                .min()
-                .unwrap_or(u64::MAX);
-        }
-        let mut cache = self.read_cache.borrow_mut();
-        debug_assert_eq!(cache.len(), self.read_q.len());
-        let mut min = u64::MAX;
-        for (req, e) in self.read_q.iter().zip(cache.iter_mut()) {
-            let t = if req.kind == RequestKind::Rng {
-                // Always selectable: served by a mode switch, not a command.
-                0
-            } else {
-                revalidate_entry(&self.ct, &self.eps, req, e);
-                e.ready_at
-            };
-            debug_assert_eq!(t, self.ct.ready_at(req), "dirty-tracked ready_at diverged");
-            min = min.min(t);
-        }
-        min
-    }
-
-    /// Builds `readiness_buf` for the read queue at `now` — through the
-    /// dirty-tracked cache when enabled, recomputing only entries whose
-    /// epochs show a timing input changed; otherwise the fresh full scan.
-    fn fill_read_readiness(&mut self, now: u64) {
-        self.read_rebuilds += 1;
-        if !self.dirty_readiness {
-            self.readiness_recomputed += self.read_q.len() as u64;
-            self.readiness_scanned += self.read_q.len() as u64;
-            self.ct
-                .fill_readiness(now, &self.read_q, self.refresh_pending, &mut self.readiness_buf);
-            return;
-        }
-        let mut recomputed = 0u64;
-        let cache = self.read_cache.get_mut();
-        debug_assert_eq!(cache.len(), self.read_q.len());
-        let ct = &self.ct;
-        let eps = &self.eps;
-        let refresh_pending = self.refresh_pending;
-        let buf = &mut self.readiness_buf;
-        buf.clear();
-        for (req, e) in self.read_q.iter().zip(cache.iter_mut()) {
-            let r = if req.kind == RequestKind::Rng {
-                Readiness { ready_now: true, row_hit: false }
-            } else {
-                if revalidate_entry(ct, eps, req, e) {
-                    recomputed += 1;
-                }
-                derive_readiness(now, refresh_pending, e)
-            };
-            debug_assert_eq!(
-                r,
-                ct.readiness_of(now, req, refresh_pending),
-                "dirty-tracked readiness diverged from the fresh scan"
-            );
-            buf.push(r);
-        }
-        self.readiness_recomputed += recomputed;
-        self.readiness_scanned += self.read_q.len() as u64;
-    }
-
-    /// Readiness of every read-queue entry at `now`, exactly as the
-    /// dirty-tracked tick path would derive it (stale entries refresh in
-    /// place). Oracle hook for the readiness property tests.
-    pub fn read_readiness_cached(&self, now: u64) -> Vec<Readiness> {
-        if !self.dirty_readiness {
-            return self.read_readiness_fresh(now);
-        }
-        let mut cache = self.read_cache.borrow_mut();
-        debug_assert_eq!(cache.len(), self.read_q.len());
-        self.read_q
+            &self.read_q
+        };
+        queue
             .iter()
-            .zip(cache.iter_mut())
-            .map(|(req, e)| {
-                if req.kind == RequestKind::Rng {
-                    Readiness { ready_now: true, row_hit: false }
-                } else {
-                    revalidate_entry(&self.ct, &self.eps, req, e);
-                    derive_readiness(now, self.refresh_pending, e)
-                }
-            })
-            .collect()
-    }
-
-    /// Fresh full-rescan readiness for every read-queue entry at `now` —
-    /// the reference the dirty-tracked derivation must match exactly.
-    pub fn read_readiness_fresh(&self, now: u64) -> Vec<Readiness> {
-        self.read_q
-            .iter()
-            .map(|r| self.ct.readiness_of(now, r, self.refresh_pending))
-            .collect()
+            .map(|r| self.ct.ready_at(r))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Bulk-applies the per-cycle accounting for the dead span
@@ -1000,12 +685,10 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         // cannot select anything (`select` implementations are pure when
         // nothing is ready), so skip the O(queue) readiness fill entirely.
         // `queue_ready_at` memoizes, so a timing-gated stretch costs one
-        // min-scan at its first tick and O(1) per tick thereafter. With
-        // dirty tracking the unmemoized bound is cheap too, so the gate
-        // also covers probe-cache-off runs — in particular it keeps the
-        // write-queue rebuild below from running on serve attempts where
-        // no write could issue anyway.
-        if (self.probe_cache_enabled || self.dirty_readiness) && self.queue_ready_at() > now {
+        // min-scan at its first tick and O(1) per tick thereafter. It also
+        // keeps the write-queue rebuild below from running on serve
+        // attempts where no write could issue anyway.
+        if self.queue_ready_at() > now {
             return None;
         }
 
@@ -1025,7 +708,10 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         }
 
         // 5. Policy-driven read scheduling.
-        self.fill_read_readiness(now);
+        self.read_rebuilds += 1;
+        self.readiness_scanned += self.read_q.len() as u64;
+        self.ct
+            .fill_readiness(now, &self.read_q, self.refresh_pending, &mut self.readiness_buf);
         let pick = self.policy.select(now, &self.read_q, &self.readiness_buf);
         let mut rng_selected = None;
         if let Some(i) = pick {
@@ -1035,7 +721,6 @@ impl<P: SchedulerPolicy> ChannelController<P> {
             );
             if self.read_q[i].kind == RequestKind::Rng {
                 rng_selected = Some(self.read_q.swap_remove(i));
-                self.read_cache.get_mut().swap_remove(i);
                 self.invalidate_probe();
             } else {
                 self.issue_for(now, i, false);
@@ -1062,7 +747,6 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         match self.ct.next_command(&req) {
             NextCommand::Precharge => {
                 self.ct.banks[bidx].precharge(now, &timing);
-                self.eps.touch_bank(bidx);
                 self.stats.pres += 1;
                 self.open_banks -= 1;
                 if !self.conflict_marked.contains(&req.id) {
@@ -1072,8 +756,6 @@ impl<P: SchedulerPolicy> ChannelController<P> {
             NextCommand::Activate => {
                 self.ct.banks[bidx].activate(now, req.addr.row, &timing);
                 self.ct.ranks[req.addr.rank as usize].record_act(now, &timing);
-                self.eps.touch_bank(bidx);
-                self.eps.touch_rank(req.addr.rank as usize);
                 self.stats.acts += 1;
                 self.open_banks += 1;
                 self.act_owner[bidx] = Some(req.id);
@@ -1094,19 +776,14 @@ impl<P: SchedulerPolicy> ChannelController<P> {
                     RequestKind::Read => {
                         let done = self.ct.banks[bidx].read(now, &timing);
                         self.ct.bus.record_read(now);
-                        self.eps.touch_bank(bidx);
-                        self.eps.touch_bus();
                         self.stats.reads += 1;
                         self.policy.on_serviced(&req, row_hit);
                         self.read_q.swap_remove(idx);
-                        self.read_cache.get_mut().swap_remove(idx);
                         self.pending.push(Reverse(Pending { at: done, request: req }));
                     }
                     RequestKind::Write => {
                         self.ct.banks[bidx].write(now, &timing);
                         self.ct.bus.record_write(now);
-                        self.eps.touch_bank(bidx);
-                        self.eps.touch_bus();
                         self.stats.writes += 1;
                         self.policy.on_serviced(&req, row_hit);
                         self.write_q.swap_remove(idx);
@@ -1144,8 +821,6 @@ impl<P: SchedulerPolicy> ChannelController<P> {
                 for bank in &mut self.ct.banks {
                     bank.lock_until(until);
                 }
-                // REF moves every bank's ACT fence at once.
-                self.eps.touch_all();
                 self.stats.refreshes += self.ct.geometry.ranks as u64;
                 self.next_refresh_due += self.ct.timing.trefi as u64;
                 self.refresh_pending = false;
@@ -1158,7 +833,6 @@ impl<P: SchedulerPolicy> ChannelController<P> {
         for (i, bank) in self.ct.banks.iter_mut().enumerate() {
             if !bank.is_precharged() && now >= bank.next_pre_allowed() {
                 bank.precharge(now, &timing);
-                self.eps.touch_bank(i);
                 self.stats.pres += 1;
                 self.open_banks -= 1;
                 self.act_owner[i] = None;

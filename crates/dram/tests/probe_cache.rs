@@ -101,38 +101,4 @@ proptest! {
             assert_probe_consistent(&c, now);
         }
     }
-
-    /// With the cache disabled, results are identical to the reference
-    /// scan by construction — and a cached controller driven through the
-    /// same tick stream produces the same command schedule and stats.
-    #[test]
-    fn cache_does_not_change_tick_behavior(
-        ops in proptest::collection::vec((0u8..3, any::<u64>(), 1u32..64), 1..60),
-    ) {
-        let mut cached = controller();
-        let mut uncached = controller();
-        uncached.set_probe_cache(false);
-        let mut now = 0u64;
-        let mut next_id = 1u64;
-        let (mut done_a, mut done_b) = (Vec::new(), Vec::new());
-        for (op, raw, span) in ops {
-            if op < 2 {
-                let kind = if op == 0 { RequestKind::Read } else { RequestKind::Write };
-                if cached.can_accept(kind) {
-                    cached.try_enqueue(request(next_id, kind, raw), now).unwrap();
-                    uncached.try_enqueue(request(next_id, kind, raw), now).unwrap();
-                    next_id += 1;
-                }
-            } else {
-                for _ in 0..span {
-                    let a = cached.tick(now, &mut done_a);
-                    let b = uncached.tick(now, &mut done_b);
-                    prop_assert_eq!(a.map(|r| r.id), b.map(|r| r.id));
-                    now += 1;
-                }
-            }
-        }
-        prop_assert_eq!(cached.stats(), uncached.stats());
-        prop_assert_eq!(done_a.len(), done_b.len());
-    }
 }

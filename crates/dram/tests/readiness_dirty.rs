@@ -1,10 +1,6 @@
-//! Property tests for the channel controller's dirty-tracked readiness
-//! cache: under random request streams, issues, refreshes, and RNG
-//! blockades, the epoch-validated cache must agree entry-for-entry with a
-//! from-scratch readiness scan — and enabling the cache must not change a
-//! single scheduling decision or statistic.
-
-use proptest::prelude::*;
+//! Regression test for the channel controller's write-drain gate: the
+//! per-tick write-queue readiness rebuild runs only on ticks where a
+//! write could be served.
 
 use strange_dram::{
     ChannelController, DramAddress, FrFcfs, Geometry, Request, RequestKind, TimingParams,
@@ -29,159 +25,6 @@ fn request(id: u64, kind: RequestKind, raw: u64) -> Request {
             col: ((raw >> 19) % g.cols as u64) as u32,
         },
         arrival: 0,
-    }
-}
-
-/// Every cached entry must match the fresh per-request scan exactly: same
-/// `ready_now`, same `row_hit`, in queue order.
-fn assert_readiness_consistent(c: &ChannelController<FrFcfs>, now: u64) {
-    let cached = c.read_readiness_cached(now);
-    let fresh = c.read_readiness_fresh(now);
-    assert_eq!(
-        cached, fresh,
-        "dirty-tracked readiness diverged from the fresh scan at {now}"
-    );
-}
-
-proptest! {
-    /// Drive a controller through a random stream of enqueues, ticks
-    /// (which issue ACT/PRE/RD/WR and cross refresh edges), RNG blockades,
-    /// and dead-span skips; the epoch-validated cache must track the
-    /// fresh scan through every mutation.
-    #[test]
-    fn dirty_readiness_matches_fresh_scan(
-        ops in proptest::collection::vec((0u8..6, any::<u64>(), 1u32..96), 1..120),
-    ) {
-        let mut c = controller();
-        let mut now = 0u64;
-        let mut next_id = 1u64;
-        let mut completed = Vec::new();
-        for (op, raw, span) in ops {
-            match op {
-                // Enqueue a read / write / RNG request (when accepted).
-                0..=2 => {
-                    let kind = match op {
-                        0 => RequestKind::Read,
-                        1 => RequestKind::Write,
-                        _ => RequestKind::Rng,
-                    };
-                    if c.can_accept(kind) {
-                        c.try_enqueue(request(next_id, kind, raw), now).unwrap();
-                        next_id += 1;
-                    }
-                }
-                // Tick a handful of live cycles; each tick may issue a
-                // command (bank/rank/bus invalidations) or drain a refresh.
-                3 => {
-                    for _ in 0..span.min(48) {
-                        c.tick(now, &mut completed);
-                        now += 1;
-                        assert_readiness_consistent(&c, now);
-                    }
-                }
-                // An RNG blockade plus mode preparation (global sweep).
-                4 => {
-                    let ready = c.prepare_rng_mode(now);
-                    c.block_until(ready + span as u64);
-                }
-                // Skip a dead span, exactly as the fast-forward loop would.
-                5 => {
-                    let event = c.next_event_at(now).unwrap_or(u64::MAX);
-                    if event > now {
-                        let to = event.min(now + span as u64);
-                        c.skip_to(now, to);
-                        now = to;
-                    } else {
-                        c.tick(now, &mut completed);
-                        now += 1;
-                    }
-                }
-                _ => unreachable!(),
-            }
-            assert_readiness_consistent(&c, now);
-        }
-    }
-
-    /// A dirty-tracking controller and a full-rescan controller driven
-    /// through the same op stream must produce the same command schedule,
-    /// RNG selections, completions, and statistics.
-    #[test]
-    fn dirty_tracking_does_not_change_tick_behavior(
-        ops in proptest::collection::vec((0u8..4, any::<u64>(), 1u32..64), 1..60),
-    ) {
-        let mut dirty = controller();
-        let mut rescan = controller();
-        rescan.set_dirty_readiness(false);
-        let mut now = 0u64;
-        let mut next_id = 1u64;
-        let (mut done_a, mut done_b) = (Vec::new(), Vec::new());
-        for (op, raw, span) in ops {
-            if op < 3 {
-                let kind = match op {
-                    0 => RequestKind::Read,
-                    1 => RequestKind::Write,
-                    _ => RequestKind::Rng,
-                };
-                if dirty.can_accept(kind) {
-                    dirty.try_enqueue(request(next_id, kind, raw), now).unwrap();
-                    rescan.try_enqueue(request(next_id, kind, raw), now).unwrap();
-                    next_id += 1;
-                }
-            } else {
-                for _ in 0..span {
-                    let a = dirty.tick(now, &mut done_a);
-                    let b = rescan.tick(now, &mut done_b);
-                    prop_assert_eq!(a.map(|r| r.id), b.map(|r| r.id));
-                    now += 1;
-                }
-            }
-        }
-        prop_assert_eq!(dirty.stats(), rescan.stats());
-        prop_assert_eq!(done_a.len(), done_b.len());
-        for (a, b) in done_a.iter().zip(&done_b) {
-            prop_assert_eq!(a.request.id, b.request.id);
-            prop_assert_eq!(a.completed_at, b.completed_at);
-        }
-    }
-
-    /// Toggling dirty tracking mid-run is safe: cache alignment and epoch
-    /// bumps are maintained unconditionally, so a controller that flips
-    /// the feature every few ticks still matches an always-on one.
-    #[test]
-    fn toggling_mid_run_is_safe(
-        ops in proptest::collection::vec((0u8..4, any::<u64>(), 1u32..48), 1..50),
-    ) {
-        let mut flipper = controller();
-        let mut steady = controller();
-        let mut enabled = true;
-        let mut now = 0u64;
-        let mut next_id = 1u64;
-        let (mut done_a, mut done_b) = (Vec::new(), Vec::new());
-        for (op, raw, span) in ops {
-            if op < 3 {
-                let kind = match op {
-                    0 => RequestKind::Read,
-                    1 => RequestKind::Write,
-                    _ => RequestKind::Rng,
-                };
-                if flipper.can_accept(kind) {
-                    flipper.try_enqueue(request(next_id, kind, raw), now).unwrap();
-                    steady.try_enqueue(request(next_id, kind, raw), now).unwrap();
-                    next_id += 1;
-                }
-            } else {
-                enabled = !enabled;
-                flipper.set_dirty_readiness(enabled);
-                for _ in 0..span {
-                    let a = flipper.tick(now, &mut done_a);
-                    let b = steady.tick(now, &mut done_b);
-                    prop_assert_eq!(a.map(|r| r.id), b.map(|r| r.id));
-                    now += 1;
-                }
-            }
-        }
-        prop_assert_eq!(flipper.stats(), steady.stats());
-        prop_assert_eq!(done_a.len(), done_b.len());
     }
 }
 
@@ -227,46 +70,5 @@ fn write_queue_scans_gated_while_reads_served() {
     assert!(
         c.write_readiness_rebuilds() > 0,
         "opportunistic write drain must rebuild write readiness"
-    );
-}
-
-/// The recompute counters demonstrate the sublinear claim directly: over
-/// a busy stretch, dirty tracking revalidates far fewer entries than the
-/// full-rescan path touches.
-#[test]
-fn dirty_tracking_recomputes_less_than_rescan() {
-    let run = |enabled: bool| {
-        let mut c = controller();
-        c.set_dirty_readiness(enabled);
-        let mut completed = Vec::new();
-        let mut now = 0u64;
-        let mut next_id = 1u64;
-        for _ in 0..200u64 {
-            while c.can_accept(RequestKind::Read) && c.read_queue_len() < 24 {
-                c.try_enqueue(request(next_id, RequestKind::Read, next_id * 0x9e37), now)
-                    .unwrap();
-                next_id += 1;
-            }
-            for _ in 0..32 {
-                c.tick(now, &mut completed);
-                now += 1;
-            }
-        }
-        c.readiness_recompute_counts()
-    };
-    let (recomputed_on, scanned_on) = run(true);
-    let (recomputed_off, scanned_off) = run(false);
-    assert_eq!(
-        scanned_on, scanned_off,
-        "both paths must scan the same rebuild footprint"
-    );
-    assert_eq!(
-        recomputed_off, scanned_off,
-        "full rescan recomputes every scanned entry"
-    );
-    assert!(
-        recomputed_on * 2 < recomputed_off,
-        "dirty tracking must recompute less than half of what a full \
-         rescan does on a busy stretch (got {recomputed_on} vs {recomputed_off})"
     );
 }

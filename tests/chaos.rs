@@ -108,16 +108,9 @@ fn soak_one(seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let plan = chaos_plan(&mut rng, 4);
     let events = plan.events.len();
-    // Mixed perf-toggle coverage: the sublinear-tick features must be
-    // invisible to every invariant in any combination. Seed bits cycle
-    // through all four combinations across the default soak.
-    let dirty = seed & 1 == 0;
-    let burst = seed & 2 == 0;
     let cfg = SystemConfig::dr_strange(0)
         .with_watchdog(watchdog())
         .with_fault_plan(plan)
-        .with_dirty_readiness(dirty)
-        .with_burst_events(burst)
         .with_service(contended_qos_service(64, 30));
     let (reference, ref_values, ref_skipped) = run_mode(&cfg, SimMode::Reference);
     let (fast, fast_values, fast_skipped) = run_mode(&cfg, SimMode::FastForward);

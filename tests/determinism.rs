@@ -235,48 +235,10 @@ mod fastforward {
     fn burst_events_under_stability_coalescing() {
         // A one-entry buffer forces frequent demand generation, so each
         // coalesced batch completes as one k-entry burst event. Fast
-        // forward must honor the burst's due cycle exactly, with the
-        // feature on (one event per batch) and off (one event per
-        // request, the legacy granularity).
+        // forward must honor the burst's due cycle exactly.
         let wl = &eval_pairs(5120)[7];
-        for (burst, label) in [(true, "burst-stability-on"), (false, "burst-stability-off")] {
-            let cfg = base(SystemConfig::dr_strange(2))
-                .with_buffer_entries(1)
-                .with_burst_events(burst);
-            assert_modes_identical(cfg, wl, label);
-        }
-    }
-
-    #[test]
-    fn dirty_readiness_off_is_bit_identical() {
-        // Dirty-tracked readiness is a pure memoization of the per-entry
-        // timing scan: disabling it (alone, or together with burst
-        // events) must not change a single statistic.
-        let wl = &eval_pairs(5120)[0];
-        let run = |dirty: bool, burst: bool| {
-            let cfg = base(SystemConfig::dr_strange(2))
-                .with_dirty_readiness(dirty)
-                .with_burst_events(burst);
-            System::new(cfg, wl.traces(), Box::new(DRange::new(3)))
-                .expect("valid configuration")
-                .run()
-        };
-        let on = run(true, true);
-        for (dirty, burst) in [(false, true), (true, false), (false, false)] {
-            let off = run(dirty, burst);
-            let label = format!("dirty={dirty} burst={burst}");
-            assert_eq!(on.cpu_cycles, off.cpu_cycles, "{label}: cpu cycles");
-            assert_eq!(on.stats, off.stats, "{label}: engine stats");
-            assert_eq!(on.channels, off.channels, "{label}: channel stats");
-            for (a, b) in on.cores.iter().zip(&off.cores) {
-                assert_eq!(
-                    a.finish.map(|s| (s.at_cycle, s.stats)),
-                    b.finish.map(|s| (s.at_cycle, s.stats)),
-                    "{label}: finish snapshots"
-                );
-                assert_eq!(a.end_stats, b.end_stats, "{label}: end stats");
-            }
-        }
+        let cfg = base(SystemConfig::dr_strange(2)).with_buffer_entries(1);
+        assert_modes_identical(cfg, wl, "burst-stability");
     }
 
     #[test]
@@ -487,18 +449,15 @@ mod fastforward {
         fn burst_events_under_k_or_timeout_coalescing() {
             // The widened window batches k-deep RNG bursts whose
             // completions all land on one due cycle — the burst-as-one-
-            // event path at its densest. Bit-identity must hold with the
-            // feature on and off.
+            // event path at its densest (twice the window of
+            // `k_or_timeout_coalescing_is_bit_identical_across_modes`).
             use dr_strange::core::CoalesceWindow;
             let wl = &eval_pairs(5120)[7];
-            for (burst, label) in [(true, "burst-kot-on"), (false, "burst-kot-off")] {
-                let cfg = base(SystemConfig::dr_strange(2))
-                    .with_buffer_entries(1)
-                    .with_coalesce_window(CoalesceWindow::KOrTimeout { k: 6, timeout: 300 })
-                    .with_burst_events(burst)
-                    .with_service(with_requests(bursty_service(2, 24, 8, 9000, 48), true));
-                assert_modes_identical(cfg, wl, label);
-            }
+            let cfg = base(SystemConfig::dr_strange(2))
+                .with_buffer_entries(1)
+                .with_coalesce_window(CoalesceWindow::KOrTimeout { k: 12, timeout: 600 })
+                .with_service(with_requests(bursty_service(2, 24, 8, 9000, 48), true));
+            assert_modes_identical(cfg, wl, "burst-kot");
         }
 
         /// A coreless service run in `mode`: the result, the served
@@ -756,57 +715,22 @@ mod fastforward {
         }
 
         #[test]
-        fn service_with_probe_cache_off_is_bit_identical() {
-            // The engine fill-probe memoization must be a pure
-            // memoization under service traffic too.
+        fn probe_memo_under_closed_loop_service() {
+            // The channel probe memo under service traffic; debug builds
+            // check every memo hit against the fresh scan.
+            let wl = &eval_pairs(5120)[0];
             let cfg = base(SystemConfig::dr_strange(2))
                 .with_service(with_requests(closed_loop_service(2, 32, 300, 50), true));
-            let wl = &eval_pairs(5120)[0];
-            let run = |probe_cache: bool| {
-                let cfg = cfg.clone().with_probe_cache(probe_cache);
-                System::new(cfg, wl.traces(), Box::new(DRange::new(3)))
-                    .expect("valid configuration")
-                    .run()
-            };
-            let on = run(true);
-            let off = run(false);
-            assert_eq!(on.cpu_cycles, off.cpu_cycles);
-            assert_eq!(on.stats, off.stats);
-            assert_eq!(on.channels, off.channels);
-            assert_eq!(on.service, off.service);
+            assert_modes_identical(cfg, wl, "svc-probe-memo");
         }
     }
 
     #[test]
-    fn probe_cache_off_is_bit_identical() {
-        // The O(1) next-event probe cache is a pure memoization: disabling
-        // it must not change a single statistic, on a busy workload (many
-        // invalidations) and on an idle-dominated one (long-lived entries).
-        let busy = &eval_pairs(5120)[0];
-        let idle = Workload::pair(
-            &dr_strange::workloads::app_by_name("povray").expect("catalog"),
-            640,
-        );
-        for (wl, label) in [(busy, "busy"), (&idle, "idle")] {
-            let run = |probe_cache: bool| {
-                let cfg = base(SystemConfig::dr_strange(2)).with_probe_cache(probe_cache);
-                System::new(cfg, wl.traces(), Box::new(DRange::new(3)))
-                    .expect("valid configuration")
-                    .run()
-            };
-            let on = run(true);
-            let off = run(false);
-            assert_eq!(on.cpu_cycles, off.cpu_cycles, "{label}: cpu cycles");
-            assert_eq!(on.stats, off.stats, "{label}: engine stats");
-            assert_eq!(on.channels, off.channels, "{label}: channel stats");
-            for (a, b) in on.cores.iter().zip(&off.cores) {
-                assert_eq!(
-                    a.finish.map(|s| (s.at_cycle, s.stats)),
-                    b.finish.map(|s| (s.at_cycle, s.stats)),
-                    "{label}: finish snapshots"
-                );
-                assert_eq!(a.end_stats, b.end_stats, "{label}: end stats");
-            }
-        }
+    fn probe_memo_on_a_busy_pair() {
+        // Many memo invalidations; debug builds check every memo hit
+        // against the fresh scan. The idle-dominated counterpart (long-
+        // lived entries) is `idle_dominated_low_utilization_pair`.
+        let wl = &eval_pairs(5120)[0];
+        assert_modes_identical(base(SystemConfig::dr_strange(2)), wl, "busy-probe-memo");
     }
 }
