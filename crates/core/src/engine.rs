@@ -28,7 +28,7 @@ use strange_dram::{
 use strange_trng::TrngMechanism;
 
 use crate::buffer::RandomNumberBuffer;
-use crate::config::{FillMode, PredictorKind, RngRouting, SchedulerKind, SystemConfig};
+use crate::config::{FillMode, PredictorKind, RngRouting, SchedulerKind, SimMode, SystemConfig};
 use crate::faults::FaultKind;
 use crate::health::{HealthState, Watchdog};
 use crate::sched::{effective_priority, strict_pick, CoalesceWindow, DrrState, FairnessPolicy};
@@ -168,6 +168,197 @@ struct ChanFill {
     last_low_util_end: u64,
 }
 
+/// The channel controllers and, under [`SimMode::FastForward`], a clock
+/// and a cached next event for each: `System`'s per-core `Lane` one layer
+/// down. A channel is ticked only on the cycles its own event is due; in
+/// between it lags, and an access catches it up through
+/// [`ChannelController::skip_to`], which is exact because nothing reached
+/// it in between. [`SimMode::Reference`] ticks every channel every cycle
+/// and never lags.
+///
+/// Reads go through `Deref` to the controller slice: what a lagging
+/// controller has not replayed yet (cycle and idle counters, the open
+/// idle period, the scheduler's clearing clock) is never read by the
+/// engine. Every `&mut` access goes through [`Lanes::at`].
+struct Lanes {
+    list: Vec<ChannelController<AnyPolicy>>,
+    /// Per channel: the first cycle it has not simulated yet.
+    clock: Vec<u64>,
+    /// Per channel: `next_event_at(clock)`, derived after its last access.
+    event: Vec<u64>,
+    /// Whether channels lag ([`SimMode::FastForward`]).
+    lag: bool,
+    /// The cycle an access catches a channel up to: `now` inside
+    /// `tick(now)` before the channel loop, `now + 1` from the end of that
+    /// loop to the next tick or skip (where core enqueues land), and `to`
+    /// after `skip_to(from, to)`.
+    sync_to: u64,
+    /// Controller ticks run (diagnostic, kept out of every stats struct).
+    ticks: u64,
+}
+
+impl Lanes {
+    fn new(list: Vec<ChannelController<AnyPolicy>>, lag: bool) -> Self {
+        let n = list.len();
+        let mut lanes = Lanes {
+            list,
+            clock: vec![0; n],
+            event: vec![0; n],
+            lag,
+            sync_to: 0,
+            ticks: 0,
+        };
+        for i in 0..n {
+            lanes.rederive(i);
+        }
+        lanes
+    }
+
+    /// Replays channel `i`'s dead cycles up to (excluding) `to`.
+    fn sync(&mut self, i: usize, to: u64) {
+        if self.clock[i] < to {
+            self.list[i].skip_to(self.clock[i], to);
+            self.clock[i] = to;
+        }
+    }
+
+    fn rederive(&mut self, i: usize) {
+        self.event[i] = self.list[i].next_event_at(self.clock[i]).unwrap_or(u64::MAX);
+    }
+
+    /// `&mut` access to channel `i`, caught up to `sync_to`; dropping the
+    /// guard re-derives the channel's event.
+    fn at(&mut self, i: usize) -> ChanMut<'_> {
+        if self.lag {
+            self.sync(i, self.sync_to);
+        }
+        ChanMut { lanes: self, i }
+    }
+
+    /// Ticks cycle `now` on every channel whose event is due, in channel
+    /// order; RNG requests the schedulers selected go to `demand`.
+    fn tick(
+        &mut self,
+        now: u64,
+        completed: &mut Vec<CompletedAccess>,
+        demand: &mut Vec<Request>,
+    ) {
+        for i in 0..self.list.len() {
+            if self.lag {
+                if self.event[i] > now {
+                    continue;
+                }
+                // A lagging channel's due event can be stale: a blockade
+                // that ends with nothing queued leaves it idle. Such a
+                // channel lags on from `now`, so no later catch-up spans
+                // the edge. (One already at `now` has a fresh event.)
+                if self.clock[i] < now {
+                    self.sync(i, now);
+                    self.rederive(i);
+                    if self.event[i] > now {
+                        continue;
+                    }
+                }
+            }
+            self.ticks += 1;
+            if let Some(req) = self.list[i].tick(now, completed) {
+                demand.push(req);
+            }
+            if self.lag {
+                self.clock[i] = now + 1;
+                self.rederive(i);
+            }
+        }
+        self.sync_to = now + 1;
+    }
+
+    /// The earliest channel event at or after `now` (`now` itself when a
+    /// channel must tick then). A due cached event is probed afresh at
+    /// `now`, without a catch-up: a lagging controller probes exactly like
+    /// a synced one.
+    fn next_event_at(&self, now: u64) -> u64 {
+        let mut event = u64::MAX;
+        for (ch, &cached) in self.list.iter().zip(&self.event) {
+            let e = if self.lag && cached > now {
+                cached
+            } else {
+                ch.next_event_at(now).unwrap_or(u64::MAX)
+            };
+            if e <= now {
+                return now;
+            }
+            event = event.min(e);
+        }
+        event
+    }
+
+    /// The channels' part of [`MemSubsystem::skip_to`]. Lagging channels
+    /// are not replayed; one whose cached event is due at `from` is synced
+    /// to `from` first, so its later catch-up cannot span the blockade
+    /// edge that event stood for.
+    fn skip_to(&mut self, from: u64, to: u64) {
+        if self.lag {
+            for i in 0..self.list.len() {
+                if self.event[i] <= from {
+                    self.sync(i, from);
+                    self.rederive(i);
+                }
+            }
+        } else {
+            for ch in &mut self.list {
+                ch.skip_to(from, to);
+            }
+        }
+        self.sync_to = to;
+    }
+
+    /// Catches every channel up to `sync_to`. One already there is left
+    /// alone: its event was derived after its last change.
+    fn sync_all(&mut self) {
+        for i in 0..self.list.len() {
+            if self.clock[i] < self.sync_to {
+                drop(self.at(i));
+            }
+        }
+    }
+}
+
+impl std::ops::Deref for Lanes {
+    type Target = [ChannelController<AnyPolicy>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.list
+    }
+}
+
+/// A channel borrowed through [`Lanes::at`].
+struct ChanMut<'a> {
+    lanes: &'a mut Lanes,
+    i: usize,
+}
+
+impl std::ops::Deref for ChanMut<'_> {
+    type Target = ChannelController<AnyPolicy>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.lanes.list[self.i]
+    }
+}
+
+impl std::ops::DerefMut for ChanMut<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.lanes.list[self.i]
+    }
+}
+
+impl Drop for ChanMut<'_> {
+    fn drop(&mut self) {
+        if self.lanes.lag {
+            self.lanes.rederive(self.i);
+        }
+    }
+}
+
 /// Priority entries that differ from the default level 1.
 fn count_nondefault(priorities: &[u8]) -> usize {
     priorities.iter().filter(|&&p| p != 1).count()
@@ -177,7 +368,7 @@ fn count_nondefault(priorities: &[u8]) -> usize {
 pub struct MemSubsystem {
     config: SystemConfig,
     mapping: strange_dram::AddressMapping,
-    channels: Vec<ChannelController<AnyPolicy>>,
+    channels: Lanes,
     mechanism: Box<dyn TrngMechanism>,
     buffer: RandomNumberBuffer,
     rng_queue: VecDeque<Request>,
@@ -246,6 +437,8 @@ pub struct MemSubsystem {
     completed_scratch: Vec<CompletedAccess>,
     value_log: Option<Vec<u64>>,
     stats: SystemStats,
+    /// Memory ticks run (diagnostic, kept out of every stats struct).
+    live_ticks: u64,
 }
 
 impl MemSubsystem {
@@ -260,9 +453,12 @@ impl MemSubsystem {
             SchedulerKind::FrFcfs => AnyPolicy::FrFcfs(FrFcfs::new(geometry)),
             SchedulerKind::Bliss => AnyPolicy::Bliss(Bliss::paper_default()),
         };
-        let channels: Vec<_> = (0..geometry.channels)
-            .map(|i| ChannelController::new(i, geometry, timing, make_policy()))
-            .collect();
+        let channels = Lanes::new(
+            (0..geometry.channels)
+                .map(|i| ChannelController::new(i, geometry, timing, make_policy()))
+                .collect(),
+            config.sim_mode == SimMode::FastForward,
+        );
         let predictors = (0..geometry.channels)
             .map(|_| match config.predictor {
                 PredictorKind::AlwaysLong => AnyPredictor::AlwaysLong(AlwaysLongPredictor),
@@ -321,6 +517,7 @@ impl MemSubsystem {
             completed_scratch: Vec::new(),
             value_log: None,
             stats: SystemStats::new(),
+            live_ticks: 0,
             channels,
             mechanism,
             config,
@@ -345,9 +542,31 @@ impl MemSubsystem {
         &self.stats
     }
 
-    /// Channel controllers (stats access for results/energy).
+    /// Channel controllers (stats access for results/energy). Under
+    /// [`SimMode::FastForward`] a channel's counters lag between its own
+    /// events; `System` catches every channel up before it returns.
     pub fn channels(&self) -> &[ChannelController<AnyPolicy>] {
         &self.channels
+    }
+
+    /// Catches every channel up to the current memory cycle (see
+    /// [`MemSubsystem::channels`]).
+    pub(crate) fn sync_channels(&mut self) {
+        self.channels.sync_all();
+    }
+
+    /// Memory ticks run so far: every memory cycle under
+    /// [`SimMode::Reference`], the live ones under
+    /// [`SimMode::FastForward`].
+    pub fn live_ticks(&self) -> u64 {
+        self.live_ticks
+    }
+
+    /// Channel-controller ticks run so far: one per channel and memory
+    /// tick under [`SimMode::Reference`], only the channels whose event is
+    /// due under [`SimMode::FastForward`].
+    pub fn channel_ticks(&self) -> u64 {
+        self.channels.ticks
     }
 
     /// The random number buffer (tests and examples).
@@ -475,9 +694,10 @@ impl MemSubsystem {
             let rounds = (64 * n as u64).div_ceil(self.effective_batch_bits(now) as u64);
             let switch = self.mechanism.fill_switch_cycles();
             let end = now + 2 * switch + rounds * self.mechanism.batch_latency();
-            self.channels[i].block_until(end);
             let cmds = self.mechanism.batch_commands();
-            self.channels[i].note_rng_commands(
+            let mut ch = self.channels.at(i);
+            ch.block_until(end);
+            ch.note_rng_commands(
                 cmds.acts * rounds,
                 cmds.reads * rounds,
                 cmds.pres * rounds,
@@ -529,7 +749,7 @@ impl MemSubsystem {
                     // The blockade machinery already owns "no commands
                     // issue until cycle X": next-event handling of the
                     // recovery edge comes for free.
-                    self.channels[channel as usize].block_until(now + duration);
+                    self.channels.at(channel as usize).block_until(now + duration);
                 }
                 FaultKind::EntropyDerate { num, den, duration } => {
                     self.derate_until = now + duration;
@@ -562,8 +782,8 @@ impl MemSubsystem {
 
     /// Flushes end-of-run accounting (open idle periods).
     pub fn finish(&mut self) {
-        for ch in &mut self.channels {
-            ch.finish();
+        for i in 0..self.channels.len() {
+            self.channels.at(i).finish();
         }
     }
 
@@ -607,13 +827,9 @@ impl MemSubsystem {
         if let Some(Reverse(burst)) = self.rng_done.peek() {
             event = event.min(burst.due);
         }
-        for ch in &self.channels {
-            if let Some(t) = ch.next_event_at(now) {
-                event = event.min(t);
-                if event <= now {
-                    return now;
-                }
-            }
+        event = event.min(self.channels.next_event_at(now));
+        if event <= now {
+            return now;
         }
         event = event.min(self.fill_bound(now));
         event.max(now)
@@ -715,9 +931,7 @@ impl MemSubsystem {
         self.mem_now = to - 1;
         self.rng_rejecting = false;
         self.rng_queue_len_last = self.rng_queue.len();
-        for ch in &mut self.channels {
-            ch.skip_to(from, to);
-        }
+        self.channels.skip_to(from, to);
         match self.config.fill {
             FillMode::None => {}
             // Idle-length counters advance per-cycle in both fill modes;
@@ -751,6 +965,8 @@ impl MemSubsystem {
     pub fn tick(&mut self, now: u64, completions: &mut Vec<Completion>) {
         self.mem_now = now;
         self.rng_rejecting = false;
+        self.live_ticks += 1;
+        self.channels.sync_to = now;
 
         // Scheduled faults fire first: the rest of this tick already sees
         // the degraded world (outage exclusions, blockades, derated
@@ -801,11 +1017,7 @@ impl MemSubsystem {
         // switching overhead Section 5.2 attributes to single-queue
         // designs). The RNG-aware path batches instead (rng_arbitrate).
         let mut demand_batch: Vec<Request> = Vec::new();
-        for ch in &mut self.channels {
-            if let Some(req) = ch.tick(now, &mut self.completed_scratch) {
-                demand_batch.push(req);
-            }
-        }
+        self.channels.tick(now, &mut self.completed_scratch, &mut demand_batch);
         if !demand_batch.is_empty() {
             self.start_demand_generation(now, demand_batch);
         }
@@ -1045,7 +1257,7 @@ impl MemSubsystem {
 
         let mut max_nonrng_reg: Option<u8> = None;
         let mut oldest_reg: Option<Request> = None;
-        for ch in &self.channels {
+        for ch in self.channels.iter() {
             for req in ch.read_queue() {
                 // Queues are swap_remove-scrambled; age is (arrival, id),
                 // never queue position.
@@ -1188,7 +1400,7 @@ impl MemSubsystem {
         }
         for &i in &live {
             ready = ready.max(self.channels[i].blocked_until());
-            ready = ready.max(self.channels[i].prepare_rng_mode(now));
+            ready = ready.max(self.channels.at(i).prepare_rng_mode(now));
         }
         let mech = &mut self.mechanism;
         let start = ready + mech.demand_switch_cycles();
@@ -1199,7 +1411,7 @@ impl MemSubsystem {
         let finish = data_ready + mech.demand_switch_cycles();
         let cmds = mech.batch_commands();
         for &i in &live {
-            let ch = &mut self.channels[i];
+            let mut ch = self.channels.at(i);
             ch.block_until(finish);
             ch.note_rng_commands(cmds.acts * rounds, cmds.reads * rounds, cmds.pres * rounds);
         }
@@ -1248,9 +1460,10 @@ impl MemSubsystem {
         let end = now + extra_switch + self.mechanism.batch_latency();
         self.fill[i].fill_end = Some(end);
         self.fill[i].fill_is_low_util = low_util;
-        self.channels[i].block_until(end);
         let cmds = self.mechanism.batch_commands();
-        self.channels[i].note_rng_commands(cmds.acts, cmds.reads, cmds.pres);
+        let mut ch = self.channels.at(i);
+        ch.block_until(end);
+        ch.note_rng_commands(cmds.acts, cmds.reads, cmds.pres);
     }
 
     /// Draws one fill batch's bits on channel `chan` into the buffer,
@@ -1328,7 +1541,7 @@ impl MemSubsystem {
                         self.fill[i].last_low_util_end = now;
                         // Low-utilization rounds never chain: the stalled
                         // requests get the channel back.
-                        self.channels[i].block_until(now + fill_switch);
+                        self.channels.at(i).block_until(now + fill_switch);
                     } else {
                         self.stats.fill_batches += 1;
                         // Chain while the channel stays idle (and healthy)
@@ -1341,7 +1554,7 @@ impl MemSubsystem {
                         {
                             self.start_fill_round(i, now, 0, false);
                         } else {
-                            self.channels[i].block_until(now + fill_switch);
+                            self.channels.at(i).block_until(now + fill_switch);
                         }
                     }
                 }
@@ -1417,8 +1630,7 @@ impl MemSubsystem {
 impl MemorySystem for MemSubsystem {
     fn try_load(&mut self, core: CoreId, line_addr: u64) -> Option<RequestId> {
         let addr = self.mapping.decode(line_addr);
-        let ch = &mut self.channels[addr.channel as usize];
-        if !ch.can_accept(RequestKind::Read) {
+        if !self.channels[addr.channel as usize].can_accept(RequestKind::Read) {
             return None;
         }
         let id = self.alloc_id();
@@ -1429,7 +1641,8 @@ impl MemorySystem for MemSubsystem {
             addr,
             arrival: self.mem_now,
         };
-        self.channels[addr.channel as usize]
+        self.channels
+            .at(addr.channel as usize)
             .try_enqueue(req, self.mem_now)
             .expect("capacity checked");
         Some(id)
@@ -1437,8 +1650,7 @@ impl MemorySystem for MemSubsystem {
 
     fn try_store(&mut self, core: CoreId, line_addr: u64) -> bool {
         let addr = self.mapping.decode(line_addr);
-        let ch = &mut self.channels[addr.channel as usize];
-        if !ch.can_accept(RequestKind::Write) {
+        if !self.channels[addr.channel as usize].can_accept(RequestKind::Write) {
             return false;
         }
         let id = self.alloc_id();
@@ -1449,7 +1661,8 @@ impl MemorySystem for MemSubsystem {
             addr,
             arrival: self.mem_now,
         };
-        self.channels[addr.channel as usize]
+        self.channels
+            .at(addr.channel as usize)
             .try_enqueue(req, self.mem_now)
             .expect("capacity checked");
         true
@@ -1496,7 +1709,8 @@ impl MemorySystem for MemSubsystem {
                     arrival: self.mem_now,
                 };
                 self.stats.rng_requests += 1;
-                self.channels[c]
+                self.channels
+                    .at(c)
                     .try_enqueue(req, self.mem_now)
                     .expect("capacity checked");
                 Some(id)

@@ -243,12 +243,21 @@ impl System {
         self.cpu_cycle - self.skipped_cycles
     }
 
+    /// Channel-controller ticks run so far. Under [`SimMode::Reference`]
+    /// every memory tick ticks every channel; under
+    /// [`SimMode::FastForward`] a channel is ticked only when its own
+    /// event is due, so this counts channel events, not memory ticks.
+    pub fn channel_ticks(&self) -> u64 {
+        self.mem.channel_ticks()
+    }
+
     /// Advances the system by `n` CPU cycles (test/diagnostic hook; `run`
     /// is the normal entry point).
     pub fn step_cpu_cycles(&mut self, n: u64) {
         for _ in 0..n {
             self.step_one();
         }
+        self.mem.sync_channels();
     }
 
     fn step_one(&mut self) {
@@ -414,11 +423,12 @@ impl System {
                 break;
             }
             if fast {
-                // Probe every live cycle: with the per-channel probe cache
-                // and the cores' cached events the probe is O(cores +
-                // channels) word reads, so re-probing each cycle (which
-                // catches a skippable span the moment it opens) is cheaper
-                // than stepping blindly in blocks.
+                // Probe every live cycle: the cores' and channels' cached
+                // events make the probe a min over cached words plus a
+                // fresh channel probe only where a cached event is due,
+                // so re-probing each cycle (which catches a skippable span
+                // the moment it opens) is cheaper than stepping blindly in
+                // blocks.
                 let target = self.capped_at_run_end(self.next_event(limit));
                 if target > self.cpu_cycle {
                     self.skip_to(target);
@@ -606,6 +616,7 @@ impl System {
                 self.step_one();
             }
         }
+        self.mem.sync_channels();
         self.cpu_cycle - start
     }
 

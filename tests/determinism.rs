@@ -733,4 +733,68 @@ mod fastforward {
         let wl = &eval_pairs(5120)[0];
         assert_modes_identical(base(SystemConfig::dr_strange(2)), wl, "busy-probe-memo");
     }
+
+    /// A DR-STRaNGe pair run in `mode`: the full result rendering, the
+    /// served values, and the system for its tick counters.
+    fn run_pair(app: &str, mode: SimMode) -> (String, Vec<u64>, System) {
+        let wl = Workload::pair(&dr_strange::workloads::app_by_name(app).expect("catalog"), 5120);
+        let cfg = base(SystemConfig::dr_strange(2)).with_sim_mode(mode);
+        let mut sys =
+            System::new(cfg, wl.traces(), Box::new(DRange::new(3))).expect("valid configuration");
+        sys.set_value_log(true);
+        let res = sys.run();
+        (format!("{res:?}"), sys.mem().value_log().to_vec(), sys)
+    }
+
+    #[test]
+    fn channels_tick_only_on_their_own_events() {
+        // Under fast-forward a channel is ticked only when its cached
+        // event is due. A fill or demand blockade that ends on an idle
+        // channel leaves a due event with nothing to do: the channel is
+        // re-derived, not ticked, and synced to the start of the next
+        // skip so its later catch-up does not span the blockade edge.
+        // These pairs are where getting either half wrong showed: ticking
+        // every due channel adds live ticks, and a missing skip-start
+        // sync moves channel stats.
+        for (app, live) in [("povray", 163), ("ycsb3", 393)] {
+            let (reference, ref_values, ref_sys) = run_pair(app, SimMode::Reference);
+            let (fast, fast_values, sys) = run_pair(app, SimMode::FastForward);
+            assert_eq!(fast, reference, "{app}: full run result");
+            assert_eq!(fast_values, ref_values, "{app}: served random values");
+            assert_eq!(sys.live_ticks(), live, "{app}: live ticks");
+            let channels = ref_sys.config().geometry.channels as u64;
+            assert_eq!(ref_sys.channel_ticks(), channels * ref_sys.mem().live_ticks());
+            // Not vacuous: most channels sit out most live memory ticks.
+            assert!(
+                2 * sys.channel_ticks() <= channels * sys.mem().live_ticks(),
+                "{app}: {} channel ticks over {} live memory ticks",
+                sys.channel_ticks(),
+                sys.mem().live_ticks()
+            );
+        }
+    }
+
+    #[test]
+    fn lagging_channels_read_the_same_mid_run() {
+        // `advance_until` returns with every channel caught up, so channel
+        // stats read between calls match the per-cycle reference, also
+        // when a call ends between two memory ticks.
+        let wl = Workload::pair(&dr_strange::workloads::app_by_name("ycsb3").expect("catalog"), 5120);
+        let run = |mode: SimMode| {
+            let cfg = base(SystemConfig::dr_strange(2)).with_sim_mode(mode);
+            let mut sys = System::new(cfg, wl.traces(), Box::new(DRange::new(3)))
+                .expect("valid configuration");
+            let mut seen = Vec::new();
+            for stop in [1_003u64, 40_000, 250_001, 600_004, 1_500_002] {
+                sys.advance_until(stop - sys.cpu_cycles(), |_| false);
+                let stats: Vec<_> = sys.mem().channels().iter().map(|c| c.stats().clone()).collect();
+                seen.push((sys.cpu_cycles(), stats));
+            }
+            (seen, sys.skipped_cycles())
+        };
+        let (reference, _) = run(SimMode::Reference);
+        let (fast, skipped) = run(SimMode::FastForward);
+        assert!(skipped > 0, "fast-forward must skip");
+        assert_eq!(fast, reference);
+    }
 }
