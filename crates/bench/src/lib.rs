@@ -50,10 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diskcache;
 pub mod runner;
-
-pub use diskcache::AloneDiskCache;
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -347,7 +344,6 @@ type AloneKey = (String, String);
 pub struct Harness {
     scale: ScaleConfig,
     alone_cache: Mutex<HashMap<AloneKey, Arc<OnceLock<AloneRun>>>>,
-    disk: Option<AloneDiskCache>,
 }
 
 impl Default for Harness {
@@ -358,38 +354,18 @@ impl Default for Harness {
 
 impl Harness {
     /// Creates a harness at the process-default scale
-    /// ([`ScaleConfig::from_env`]) with the environment-configured
-    /// on-disk alone-baseline cache ([`AloneDiskCache::from_env`]) — so
-    /// repeated figure targets skip recomputing the ~44 shared alone
-    /// runs across processes.
+    /// ([`ScaleConfig::from_env`]).
     pub fn new() -> Self {
-        let mut h = Harness::with_scale(ScaleConfig::from_env());
-        h.disk = AloneDiskCache::from_env();
-        h
+        Harness::with_scale(ScaleConfig::from_env())
     }
 
     /// Creates a harness with an explicitly injected scale (tests and
     /// callers that must not depend on ambient environment variables).
-    /// No on-disk cache: attach one explicitly with
-    /// [`Harness::with_disk_cache`].
     pub fn with_scale(scale: ScaleConfig) -> Self {
         Harness {
             scale,
             alone_cache: Mutex::new(HashMap::new()),
-            disk: None,
         }
-    }
-
-    /// Attaches an on-disk alone-baseline cache.
-    pub fn with_disk_cache(mut self, cache: AloneDiskCache) -> Self {
-        self.disk = Some(cache);
-        self
-    }
-
-    /// The attached on-disk cache, if any (hit/miss counters for tests
-    /// and bench banners).
-    pub fn disk_cache(&self) -> Option<&AloneDiskCache> {
-        self.disk.as_ref()
     }
 
     /// The scale this harness runs at.
@@ -433,11 +409,7 @@ impl Harness {
     }
 
     /// The alone-run baseline for `app` (cached; computed exactly once per
-    /// `(app, mechanism)` even under concurrent callers). With an
-    /// attached [`AloneDiskCache`], the baseline is first looked up on
-    /// disk (keyed by app, mechanism, instruction target, and code tag)
-    /// and stored there after a fresh computation — a disk hit is
-    /// bit-identical to the recompute.
+    /// `(app, mechanism)` even under concurrent callers).
     pub fn alone(&self, app: &AppRef, mech: Mech) -> AloneRun {
         let key = (app.label(), mech.key());
         let cell = {
@@ -447,27 +419,16 @@ impl Harness {
         // The map lock is released before the (expensive) computation;
         // `get_or_init` blocks racing workers on this key only.
         *cell.get_or_init(|| {
-            let label = app.label();
-            let mech_key = mech.key();
-            if let Some(disk) = &self.disk {
-                if let Some(run) = disk.load(&label, &mech_key, self.scale.instr) {
-                    return run;
-                }
-            }
             let wl = Workload {
-                name: format!("{label}-alone"),
+                name: format!("{}-alone", app.label()),
                 apps: vec![app.clone()],
             };
             let res = self.run(Design::Oblivious, &wl, mech);
-            let run = AloneRun {
+            AloneRun {
                 exec_cycles: res.exec_cycles(0),
                 mcpi: res.cores[0].mcpi(),
                 ipc: res.cores[0].ipc(),
-            };
-            if let Some(disk) = &self.disk {
-                disk.store(&label, &mech_key, self.scale.instr, &run);
             }
-            run
         })
     }
 

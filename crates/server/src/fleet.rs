@@ -22,8 +22,7 @@
 //!   identity holds exactly as for a single system;
 //! * an N-shard run under [`RoutePolicy::SessionHash`] is bit-identical
 //!   to N separate single-shard runs of the induced per-shard session
-//!   sets (asserted in `tests/fleet.rs` and in `cargo bench --bench
-//!   fleet`);
+//!   sets (asserted in `tests/fleet.rs`);
 //! * [`run_shards`] (parallel, one thread per shard) produces exactly
 //!   the results of [`run_shards_sequential`].
 //!
@@ -41,7 +40,7 @@
 //! counters.
 
 use std::sync::mpsc::{channel, Receiver, TryRecvError};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -51,20 +50,6 @@ use strange_metrics::{jain_index, percentile_sorted};
 use crate::{
     AdmissionConfig, AdmissionStats, Pacing, RngServer, ServerReport, SessionHandle, Snapshot,
 };
-
-/// Fleet shard count from `STRANGE_SHARDS` (default 4, minimum 1) —
-/// threaded like `STRANGE_THREADS` in the bench runner, so CI and
-/// 1-CPU containers can scale fleet scenarios down.
-pub fn shard_count() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("STRANGE_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(4)
-    })
-}
 
 /// SplitMix64 finalizer: the session-key mixer behind
 /// [`RoutePolicy::SessionHash`]. Deterministic and host-independent.
@@ -262,8 +247,8 @@ pub fn run_shards_sequential(shards: Vec<System>) -> Vec<(RunResult, System)> {
 /// Fleet-level aggregate of per-shard [`ServiceStats`]: sums for the
 /// scalars, a merged latency distribution, and the per-shard byte
 /// shares the fleet Jain index is computed over. Pure function of the
-/// shard stats — `cargo bench --bench fleet` asserts it equals the
-/// union of the shard-local views.
+/// shard stats — `tests/fleet.rs` asserts it equals the union of the
+/// shard-local views.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
     /// Requests offered across the fleet.

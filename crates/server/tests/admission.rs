@@ -1,15 +1,22 @@
 //! Overload-protection behavior of the server facade: admission
-//! decisions are deterministic and thread-count invariant, deadlines
-//! resolve to timeouts, shed tenants can retry with backoff, and
-//! sessions that close (or vanish) with deferred/shed requests
-//! outstanding drain cleanly instead of freezing the virtual-time
-//! barrier.
+//! decisions are deterministic and thread-count invariant, a flash-crowd
+//! storm's accepted tail stays bounded with admission on and grows with
+//! the backlog without it, the tail recovers once a quarantined channel
+//! returns, deadlines resolve to timeouts, shed tenants can retry with
+//! backoff, and sessions that close (or vanish) with deferred/shed
+//! requests outstanding drain cleanly instead of freezing the
+//! virtual-time barrier.
 
 use std::thread;
 
-use strange_core::{ClientSpec, ServiceConfig, System, SystemConfig};
+use strange_core::{
+    ClientSpec, FairnessPolicy, FaultPlan, QosClass, ServiceConfig, SimMode, System, SystemConfig,
+    WatchdogConfig,
+};
+use strange_metrics::percentile_sorted;
 use strange_server::{
-    AdmissionConfig, Backoff, Pacing, RngServer, ServerReport, ShedReason, SubmitOutcome,
+    AdmissionConfig, Backoff, Pacing, RngServer, ServerReport, SessionHandle, ShedReason,
+    SubmitOutcome,
 };
 use strange_trng::DRange;
 
@@ -291,4 +298,229 @@ fn dead_receiver_under_shed_load_does_not_freeze_the_barrier() {
     let report = server.shutdown();
     assert!(report.stats.requests_completed >= 3);
     assert_eq!(report.sessions, 2);
+}
+
+/// A coreless session system on seed 2022, where the storm and recovery
+/// bounds below were measured.
+fn session_system(cfg: SystemConfig) -> System {
+    let cfg = cfg.with_service(ServiceConfig {
+        sessions: true,
+        ..ServiceConfig::default()
+    });
+    System::new(cfg, Vec::new(), Box::new(DRange::new(2022))).expect("valid configuration")
+}
+
+fn p99(mut latencies: Vec<u64>) -> u64 {
+    latencies.sort_unstable();
+    percentile_sorted(&latencies, 0.99).expect("a non-empty latency set")
+}
+
+/// The storm admission policy: soft-defer at queue depth 3 (4-word
+/// requests, so only into an empty queue), hard-shed at 16, 50k-cycle
+/// retry windows with a 2-defer budget, tenant throttling off. The wide
+/// retry window spreads the deferred-retry waves far enough apart that
+/// accepted requests drain between them.
+fn storm_admission() -> AdmissionConfig {
+    AdmissionConfig {
+        enabled: true,
+        bucket_capacity: 0,
+        cycles_per_token: 0,
+        defer_queue_depth: 3,
+        shed_queue_depth: 16,
+        buffer_low_words: 16,
+        max_defers: 2,
+        defer_cycles: 50_000,
+    }
+}
+
+/// One tenant issuing the storm's Low trickle (2 000-cycle gaps) alone,
+/// with a single-word buffer so every request pays a real generation
+/// episode: the p99 the storm bounds are anchored to.
+fn uncontended_p99(requests: usize) -> u64 {
+    let system = session_system(
+        SystemConfig::dr_strange(0)
+            .with_fairness(FairnessPolicy::adaptive_aging())
+            .with_buffer_entries(1),
+    );
+    let server =
+        RngServer::start_with_admission(system, Pacing::Virtual, AdmissionConfig::disabled());
+    let mut h = server.open_session(ClientSpec::manual(32));
+    h.submit_burst(32, 0, 2_000, requests, u64::MAX);
+    let latencies = (0..requests)
+        .map(|_| match h.recv_outcome() {
+            SubmitOutcome::Served(s) => s.latency_cycles,
+            other => panic!("uncontended request not served: {other:?}"),
+        })
+        .collect();
+    h.close();
+    server.shutdown();
+    p99(latencies)
+}
+
+/// Accepted p99 over every session, the Low session's accepted p99, and
+/// the shed fraction of one storm.
+struct Storm {
+    accepted_p99: u64,
+    low_p99: u64,
+    shed_fraction: f64,
+}
+
+/// Three High sessions each release `requests` 32-byte requests every
+/// 500 cycles (about ten times D-RaNGe's rate) while a Low session
+/// trickles half as many at 2 000-cycle gaps. One thread drains every
+/// outcome by polling and closes each session once its burst resolves:
+/// a drained but open session would gate virtual time.
+fn storm(admission: AdmissionConfig, requests: usize) -> Storm {
+    let system =
+        session_system(SystemConfig::dr_strange(0).with_fairness(FairnessPolicy::adaptive_aging()));
+    let server = RngServer::start_with_admission(system, Pacing::Virtual, admission);
+    let open = |qos: QosClass, gap: u64, n: usize| {
+        let mut h = server.open_session(ClientSpec::manual(32).with_qos(qos));
+        h.submit_burst(32, 0, gap, n, u64::MAX);
+        (Some(h), n, Vec::new())
+    };
+    let mut sessions: Vec<(Option<SessionHandle>, usize, Vec<u64>)> = vec![
+        open(QosClass::High, 500, requests),
+        open(QosClass::High, 500, requests),
+        open(QosClass::High, 500, requests),
+        open(QosClass::Low, 2_000, requests / 2),
+    ];
+    while sessions.iter().any(|(h, ..)| h.is_some()) {
+        for (handle, left, served) in &mut sessions {
+            let Some(h) = handle.as_mut() else { continue };
+            while let Some(outcome) = h.try_recv_outcome() {
+                if let SubmitOutcome::Served(s) = outcome {
+                    served.push(s.latency_cycles);
+                }
+                *left -= 1;
+            }
+            if *left == 0 {
+                handle.take().expect("present").close();
+            }
+        }
+        thread::yield_now();
+    }
+    let report = server.shutdown();
+    let low_p99 = p99(sessions[3].2.clone());
+    Storm {
+        accepted_p99: p99(sessions.into_iter().flat_map(|(.., s)| s).collect()),
+        low_p99,
+        shed_fraction: report.admission.shed_fraction(),
+    }
+}
+
+#[test]
+fn admission_bounds_a_storm_tail_that_grows_without_it() {
+    let anchor = uncontended_p99(40);
+    let on = storm(storm_admission(), 50);
+    let on2 = storm(storm_admission(), 100);
+    for s in [&on, &on2] {
+        assert!(
+            s.accepted_p99 <= 10 * anchor,
+            "accepted p99 must stay within 10x uncontended ({} vs {anchor})",
+            s.accepted_p99
+        );
+        assert!(s.shed_fraction > 0.0, "the storm must actually overload");
+        assert!(s.shed_fraction < 0.95, "the server must keep serving");
+    }
+    assert!(
+        on2.low_p99 * 2 <= 3 * on.low_p99,
+        "Low-tenant accepted p99 must not trend as the horizon doubles ({} -> {})",
+        on.low_p99,
+        on2.low_p99
+    );
+    // The control: with every request accepted, the tail follows the
+    // unbounded backlog.
+    let off = storm(AdmissionConfig::disabled(), 50);
+    let off2 = storm(AdmissionConfig::disabled(), 100);
+    assert_eq!(off.shed_fraction, 0.0, "nothing is shed without admission");
+    assert_eq!(off2.shed_fraction, 0.0, "nothing is shed without admission");
+    assert!(
+        off2.accepted_p99 * 2 >= off.accepted_p99 * 3,
+        "without admission the p99 must grow with the backlog ({} -> {})",
+        off.accepted_p99,
+        off2.accepted_p99
+    );
+    assert!(
+        off.accepted_p99 > on.accepted_p99,
+        "admission control must beat the uncontrolled tail"
+    );
+}
+
+#[test]
+fn accepted_tail_recovers_after_a_quarantined_channel_returns() {
+    // One open-loop tenant paced at GAP across a stuck-at-one derate of
+    // channel 0 that spans 20 %..50 % of the arrival horizon. Admission
+    // watermarks tighten by the quarantined capacity; the post-recovery
+    // phase starts at 75 %, leaving the watchdog a quarter of the
+    // horizon to probe the channel back in.
+    const REQUESTS: usize = 240;
+    const GAP: u64 = 6_000;
+    const CPU_PER_MEM: u64 = 5;
+    let horizon = REQUESTS as u64 * GAP;
+    let plan = FaultPlan::new().channel_derate(
+        horizon / 5 / CPU_PER_MEM,
+        0,
+        0,
+        1,
+        horizon * 3 / 10 / CPU_PER_MEM,
+    );
+    // The queue is measured in words (8 per request): defer at one queued
+    // request with a low buffer, shed at four.
+    let admission = AdmissionConfig {
+        enabled: true,
+        bucket_capacity: 0,
+        cycles_per_token: 0,
+        defer_queue_depth: 8,
+        shed_queue_depth: 32,
+        buffer_low_words: 8,
+        max_defers: 3,
+        defer_cycles: 10_000,
+    };
+    let run = |mode: SimMode| {
+        let system = session_system(
+            SystemConfig::dr_strange(0)
+                .with_fairness(FairnessPolicy::weighted_fair())
+                .with_watchdog(WatchdogConfig {
+                    probe_period: 4_000,
+                    ..WatchdogConfig::standard()
+                })
+                .with_fault_plan(plan.clone())
+                .with_sim_mode(mode),
+        );
+        let server = RngServer::start_with_admission(system, Pacing::Virtual, admission);
+        let mut h = server.open_session(ClientSpec::manual(64));
+        h.submit_burst(64, 0, GAP, REQUESTS, u64::MAX);
+        // One session: outcome i is the request that arrived at i * GAP.
+        let outcomes: Vec<Option<u64>> = (0..REQUESTS)
+            .map(|_| match h.recv_outcome() {
+                SubmitOutcome::Served(s) => Some(s.latency_cycles),
+                _ => None,
+            })
+            .collect();
+        h.close();
+        (outcomes, server.shutdown().system)
+    };
+    let reference = run(SimMode::Reference);
+    let (outcomes, system) = run(SimMode::FastForward);
+    assert_eq!(
+        outcomes, reference.0,
+        "per-request outcomes must replay across modes"
+    );
+    assert_eq!(system, reference.1, "engine stats must replay across modes");
+    assert!(
+        system.quarantines >= 1,
+        "the stuck channel must be quarantined: {system:?}"
+    );
+    assert!(
+        system.readmissions >= 1,
+        "the channel must be re-admitted: {system:?}"
+    );
+    let phase =
+        |from: usize, to: usize| p99(outcomes[from..to].iter().flatten().copied().collect());
+    let (pre, post) = (phase(0, REQUESTS / 5), phase(REQUESTS * 3 / 4, REQUESTS));
+    assert!(
+        post <= 2 * pre,
+        "post-recovery accepted p99 must come back within 2x the pre-fault p99 ({post} vs {pre})"
+    );
 }

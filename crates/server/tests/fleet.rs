@@ -4,22 +4,24 @@
 //! sets, (2) parallel shard drivers ≡ sequential, (3) shard results are
 //! invariant to startup order, (4) per-shard Reference ≡ FastForward,
 //! and (5) a 10⁴-session flash-crowd fleet records and replays
-//! reproducibly end-to-end (`STRANGE_FLEET_SESSIONS` scales it).
+//! reproducibly end-to-end, with its aggregate equal to the union of the
+//! shard-local stats.
 
 use std::thread;
 
 use strange_core::{ClientSpec, ServiceStats, SimMode, System, SystemConfig};
 use strange_server::fleet::{
-    partition_sessions, run_shards, run_shards_sequential, shard_count, FleetServer, FleetSnapshot,
+    partition_sessions, run_shards, run_shards_sequential, FleetServer, FleetSnapshot, FleetStats,
     RoutePolicy, ShardRouter,
 };
 use strange_server::Pacing;
 use strange_trng::DRange;
-use strange_workloads::{
-    fleet_flash_crowd, fleet_session_count, fleet_shard_seed, fleet_shard_service,
-};
+use strange_workloads::{fleet_flash_crowd, fleet_shard_seed, fleet_shard_service};
 
 const FLEET_SEED: u64 = 2022;
+/// Population and width of the flash-crowd record → replay scenario.
+const CROWD_SESSIONS: usize = 10_000;
+const CROWD_SHARDS: usize = 4;
 
 fn shard_system(specs: Vec<ClientSpec>, seed: u64, mode: SimMode) -> System {
     let mut svc = fleet_shard_service(specs);
@@ -154,15 +156,13 @@ fn per_shard_reference_equals_fastforward() {
     }
 }
 
-/// Acceptance: a 10⁴+-session flash-crowd fleet scenario end to end —
-/// partition, parallel run, then record→replay bit-identity from the
-/// recorded arrival logs.
+/// Acceptance: a 10⁴-session flash-crowd fleet scenario end to end —
+/// partition, parallel run, fleet aggregate ≡ union of the shards, then
+/// record→replay bit-identity from the recorded arrival logs.
 #[test]
 fn flash_crowd_fleet_records_and_replays() {
-    let sessions = fleet_session_count();
-    let shards = shard_count();
-    let specs = fleet_flash_crowd(sessions, 8, 100);
-    let mut router = ShardRouter::new(RoutePolicy::SessionHash { salt: FLEET_SEED }, shards);
+    let specs = fleet_flash_crowd(CROWD_SESSIONS, 8, 100);
+    let mut router = ShardRouter::new(RoutePolicy::SessionHash { salt: FLEET_SEED }, CROWD_SHARDS);
     let (per_shard, _) = partition_sessions(&mut router, &specs);
     let systems: Vec<System> = per_shard
         .iter()
@@ -172,11 +172,25 @@ fn flash_crowd_fleet_records_and_replays() {
         })
         .collect();
     let first = run_shards(systems);
-    let completed: u64 = first
+    let stats: Vec<ServiceStats> = first
         .iter()
-        .map(|(r, _)| r.service.as_ref().expect("service stats").requests_completed)
-        .sum();
-    assert_eq!(completed, sessions as u64, "every session must be served");
+        .map(|(r, _)| r.service.clone().expect("service stats"))
+        .collect();
+    let agg = FleetStats::aggregate(&stats);
+    assert_eq!(
+        agg.requests_completed, CROWD_SESSIONS as u64,
+        "every session must be served"
+    );
+    // The union oracle: every aggregate recomputed from the shards.
+    assert_eq!(
+        agg.bytes_served,
+        stats.iter().map(|s| s.bytes_served).sum::<u64>()
+    );
+    let mut union_log: Vec<u64> = stats.iter().flat_map(|s| s.latency_log.clone()).collect();
+    union_log.sort_unstable();
+    assert_eq!(agg.latency_log, union_log, "aggregate latency log != union");
+    let shard_bytes: Vec<u64> = stats.iter().map(|s| s.bytes_served).collect();
+    assert_eq!(agg.shard_bytes, shard_bytes);
 
     // Record → replay: rebuild each shard from its recorded arrival
     // logs and re-run; the replay must reproduce the run bit for bit.

@@ -127,9 +127,9 @@ const STANDARD_READS: u32 = 128;
 
 /// Dies the process-wide memo holds before it evicts the least recently
 /// used one. The traffic that exists: one seed in the figure harness, one
-/// per shard in a fleet (`STRANGE_SHARDS` defaults to 4), a handful per
-/// test binary. A standard die is ≈ 1.6 k RNG cells ≈ 6.5 KB, so the memo
-/// stays near 100 KB.
+/// per shard in a fleet (two to four in the tests and the benchmark), a
+/// handful per test binary. A standard die is ≈ 1.6 k RNG cells ≈ 6.5 KB,
+/// so the memo stays near 100 KB.
 const DIE_MEMO_CAPACITY: usize = 16;
 
 /// What a die is a function of: `(cells, seed, reads_per_cell)`.

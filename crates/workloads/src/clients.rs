@@ -132,7 +132,7 @@ pub fn bursty_service(
 
 /// The contended mixed-QoS tenant scenario the fairness studies share
 /// (`examples/concurrent_server.rs`, `tests/fairness.rs`, and the
-/// `fairness` bench): clients 0–1 are **saturating High-priority
+/// benchmark's `svc_saturated`): clients 0–1 are **saturating High-priority
 /// aggressors** — closed loops of 256-byte requests (32 words each,
 /// exactly the RNG queue's capacity) with a 200-cycle think time, enough
 /// sustained demand to keep D-RaNGe's four channels past their ~620 Mb/s

@@ -62,18 +62,6 @@ pub fn fleet_shard_service(shard_sessions: Vec<ClientSpec>) -> ServiceConfig {
     }
 }
 
-/// Number of sessions for fleet scenarios from `STRANGE_FLEET_SESSIONS`
-/// (default 10 000, minimum 1) — the dial CI uses to scale the
-/// flash-crowd population down on small hosts, mirroring
-/// `STRANGE_CHAOS_SEEDS` / `STRANGE_SERVER_REQUESTS`.
-pub fn fleet_session_count() -> usize {
-    std::env::var("STRANGE_FLEET_SESSIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(10_000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

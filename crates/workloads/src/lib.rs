@@ -47,7 +47,7 @@ pub use mix::{
     eval_pairs, four_core_groups, motivation_pairs, multicore_class_groups, nonrng_class_groups,
     AppRef, Workload,
 };
-pub use fleet::{fleet_flash_crowd, fleet_session_count, fleet_shard_seed, fleet_shard_service};
+pub use fleet::{fleet_flash_crowd, fleet_shard_seed, fleet_shard_service};
 pub use clients::{
     aging_service, assign_qos, bursty_service, closed_loop_service, contended_qos_service,
     flash_crowd_service, flash_crowd_with_victim, gap_for_offered_mbps, poisson_service,

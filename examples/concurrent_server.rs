@@ -34,10 +34,9 @@ const TENANT_BYTES: usize = 64;
 /// Runs the contended 4-tenant scenario (sessions 0–1: High aggressors,
 /// 2: Normal, 3: Low) under `policy` and returns the final report. The
 /// tenant shapes are **derived from the shared `contended_qos_service`
-/// preset** — the same closed loops `tests/fairness.rs` and the
-/// `fairness` bench run synchronously — so this example, the tests, and
-/// `BENCH_fairness.json` cannot drift apart; here each tenant runs from
-/// its own host thread against the server facade.
+/// preset** — the same closed loops `tests/fairness.rs` runs
+/// synchronously — so this example and the tests cannot drift apart; here
+/// each tenant runs from its own host thread against the server facade.
 fn run_scenario(policy: FairnessPolicy) -> ServerReport {
     let config = SystemConfig::dr_strange(0)
         .with_fairness(policy)

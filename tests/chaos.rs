@@ -11,8 +11,8 @@
 //!   random values.
 //!
 //! The tier-1 run covers a handful of seeds so `cargo test` stays fast;
-//! set `STRANGE_CHAOS_SEEDS=<n>` to soak more (CI's perf-smoke lane and
-//! local overnight runs).
+//! set `STRANGE_CHAOS_SEEDS=<n>` to soak more (CI's tier-1 job soaks 8
+//! after the test suite; local overnight runs soak more).
 
 use dr_strange::core::{
     FaultPlan, RunResult, SimMode, System, SystemConfig, WatchdogConfig,

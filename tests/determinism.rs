@@ -755,7 +755,9 @@ mod fastforward {
         // skip so its later catch-up does not span the blockade edge.
         // These pairs are where getting either half wrong showed: ticking
         // every due channel adds live ticks, and a missing skip-start
-        // sync moves channel stats.
+        // sync moves channel stats. ycsb3 is also the busy pair
+        // (`eval_pairs(5120)[0]`, 97 % of cycles skipped): its exact
+        // live-tick count catches a core or channel polled again.
         for (app, live) in [("povray", 163), ("ycsb3", 393)] {
             let (reference, ref_values, ref_sys) = run_pair(app, SimMode::Reference);
             let (fast, fast_values, sys) = run_pair(app, SimMode::FastForward);

@@ -255,6 +255,67 @@ mod watchdog {
         );
     }
 
+    /// Quality windows (all channels) the watchdog may test between the
+    /// fault onset and the quarantine: 4 channels × `trip_failures`,
+    /// doubled for the window straddling the onset.
+    const DETECT_WINDOW_BOUND: u64 = 16;
+
+    #[test]
+    fn stuck_channel_is_quarantined_within_the_window_bound() {
+        // A stuck-at-one derate on channel 0 for 60 000 memory cycles
+        // under endless contended load, driven in steps so the exact trip
+        // and re-admission cycles are observable and replay across modes.
+        const CPU_PER_MEM: u64 = 5;
+        let (fault_at, fault_len) = (20_000, 60_000);
+        let onset = fault_at * CPU_PER_MEM;
+        let cap = (fault_at + fault_len) * CPU_PER_MEM + 600_000;
+        let run = |mode: SimMode| {
+            let cfg = SystemConfig::dr_strange(0)
+                .with_watchdog(fast_watchdog())
+                .with_fault_plan(FaultPlan::new().channel_derate(fault_at, 0, 0, 1, fault_len))
+                .with_service(contended_qos_service(64, 100_000))
+                .with_sim_mode(mode);
+            let mut sys = System::new(cfg, Vec::new(), Box::new(DRange::new(2022)))
+                .expect("valid configuration");
+            sys.advance_until(onset, |_| false);
+            let before = sys.mem().stats().windows_tested;
+            assert_eq!(
+                sys.mem().stats().quarantines,
+                0,
+                "{mode:?}: false trip before the fault"
+            );
+            sys.advance_until(cap, |s| s.mem().stats().quarantines >= 1);
+            let detected = (sys.cpu_cycles(), sys.mem().stats().windows_tested - before);
+            sys.advance_until(cap, |s| s.mem().stats().readmissions >= 1);
+            (detected, sys.cpu_cycles(), sys.mem().stats().clone())
+        };
+        let reference = run(SimMode::Reference);
+        let fast = run(SimMode::FastForward);
+        assert_eq!(
+            fast, reference,
+            "trip and re-admission must replay across modes"
+        );
+        let ((_, windows), _, stats) = fast;
+        assert!(
+            stats.quarantines >= 1,
+            "the stuck channel must be quarantined: {stats:?}"
+        );
+        assert!(
+            windows <= DETECT_WINDOW_BOUND,
+            "quarantine must land within {DETECT_WINDOW_BOUND} test windows of the onset \
+             (took {windows})"
+        );
+        assert!(
+            stats.readmissions >= 1,
+            "the channel must be re-admitted: {stats:?}"
+        );
+        assert_eq!(
+            stats.tainted_words_discarded,
+            stats.probe_rounds * u64::from(fast_watchdog().probe_words),
+            "probe hygiene: every tainted probe word is discarded, none served"
+        );
+    }
+
     #[test]
     fn fill_served_load_still_trips_the_watchdog() {
         // Arrivals slow enough that predictive fill keeps the buffer
