@@ -24,7 +24,30 @@
 //! ```
 //!
 //! The driver is the only owner of the [`System`]; submitters never touch
-//! simulation state, so no lock guards the hot loop.
+//! simulation state, so no lock guards the hot loop. Three things cross
+//! threads, all over the crate's private handoff channel: control
+//! messages (`Ctl`: open, submit, ack, close, shutdown) on one channel
+//! every handle shares, each session's outcomes on a channel of its own,
+//! and the session id that `open_session` waits for. The driver relies
+//! only on per-sender FIFO order: a session's messages reach it in the
+//! order its handle sent them. Only the observed servers' snapshot
+//! streams use the standard library's channel, because their receivers
+//! are public API.
+//!
+//! The handoff channel is a mutex-guarded queue with a condition
+//! variable and two wake rules: a sender wakes the receiver only after it
+//! has released the lock, and only when the receiver is parked. A
+//! blocking [`SessionHandle::getrandom`] then costs the two context
+//! switches a driver thread requires — the submit wakes the driver, the
+//! outcome wakes the submitter — and nothing spins or yields. The
+//! standard library's channel wakes a parked receiver from inside its
+//! waker lock instead. On one CPU the woken thread preempts the sender
+//! and spins on that lock before it sleeps again, once on submit and once
+//! on delivery. In a sampled, pinned run of the benchmark's
+//! `server_closed` loop that spinning took 15 % of CPU time and futex
+//! calls another 42 %. Replacing the channel took the workload from
+//! 121.5 to 178.5 thousand calls per second on 2 vCPUs (EXPERIMENTS.md,
+//! "A getrandom without a lock convoy").
 //!
 //! # Pacing and the determinism contract
 //!
@@ -84,10 +107,11 @@
 
 pub mod admission;
 pub mod fleet;
+mod handoff;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,6 +122,7 @@ use admission::TokenBucket;
 pub use admission::{
     AdmissionConfig, AdmissionStats, Backoff, RetryAfter, ShedReason, SubmitOutcome,
 };
+use handoff::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 /// CPU-cycle budget per driver advance while waiting on a completion;
 /// generously above any realistic request latency, so exhausting it
@@ -279,7 +304,7 @@ impl ServerClient {
             panic!("open_session: invalid session spec: {e}");
         }
         let (completions, rx) = channel();
-        let (reply, reply_rx) = channel();
+        let (reply, mut reply_rx) = channel();
         self.ctl
             .send(Ctl::Open {
                 spec,
@@ -609,8 +634,8 @@ impl RngServer {
         system: System,
         pacing: Pacing,
         every: Duration,
-    ) -> (RngServer, Receiver<Snapshot>) {
-        let (tx, rx) = channel();
+    ) -> (RngServer, mpsc::Receiver<Snapshot>) {
+        let (tx, rx) = mpsc::channel();
         let spawned = RngServer::spawn(
             system,
             pacing,
@@ -789,13 +814,13 @@ impl PercentileScratch {
 
 /// Snapshot-emission state of an observed server.
 struct Observer {
-    tx: Sender<Snapshot>,
+    tx: mpsc::Sender<Snapshot>,
     every: Duration,
     last: Instant,
 }
 
 impl Observer {
-    fn new(tx: Sender<Snapshot>, every: Duration) -> Self {
+    fn new(tx: mpsc::Sender<Snapshot>, every: Duration) -> Self {
         Observer {
             tx,
             every,

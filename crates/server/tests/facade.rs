@@ -4,7 +4,9 @@
 //! latency log, same per-session latencies, same served words — no
 //! matter how the OS schedules the submitter threads.
 
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use strange_core::{ClientSpec, QosClass, ServiceConfig, ServiceStats, System, SystemConfig};
 use strange_server::{AdmissionConfig, Pacing, RngServer, SubmitOutcome};
@@ -125,6 +127,63 @@ fn four_host_threads_virtual_time_is_bit_identical_to_sync() {
     assert_eq!(
         report.captured, sync_captured,
         "served words must match bit for bit"
+    );
+}
+
+/// The benchmark's `server_closed` shape: one thread per session, each
+/// blocked in `getrandom` for every call, so every call crosses the
+/// control and completion channels with the receiver parked.
+#[test]
+fn blocking_sessions_match_the_synchronous_closed_loop() {
+    const THINKS: [u64; 3] = [4_000, 2_500, 3_300];
+    const CALLS: u64 = 3_000;
+    const BYTES: usize = 32;
+
+    let (done_tx, done) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        let server = RngServer::start(server_system(), Pacing::Virtual);
+        let handles: Vec<_> = THINKS
+            .iter()
+            .map(|_| server.open_session(ClientSpec::manual(BYTES)))
+            .collect();
+        thread::scope(|scope| {
+            for (mut handle, think) in handles.into_iter().zip(THINKS) {
+                scope.spawn(move || {
+                    let mut buf = [0u8; BYTES];
+                    for _ in 0..CALLS {
+                        let served = handle.getrandom(&mut buf, think);
+                        assert_eq!(served.words.len(), BYTES / 8);
+                    }
+                    handle.close();
+                });
+            }
+        });
+        done_tx
+            .send(server.shutdown())
+            .expect("test thread waiting");
+    });
+    // A lost wake-up fails the test here instead of hanging it.
+    let report = done
+        .recv_timeout(Duration::from_secs(120))
+        .expect("blocking sessions finished within two minutes");
+    runner.join().expect("runner panicked");
+
+    let cfg = SystemConfig::dr_strange(0).with_service(ServiceConfig {
+        clients: THINKS
+            .iter()
+            .map(|&think| ClientSpec::closed_loop(BYTES, think, CALLS))
+            .collect(),
+        capture_values: true,
+        ..ServiceConfig::default()
+    });
+    let mut sync = System::new(cfg, Vec::new(), Box::new(DRange::new(TRNG_SEED)))
+        .expect("valid configuration");
+    let res = sync.run();
+    assert!(!res.hit_cycle_limit);
+    assert_eq!(report.stats, res.service.expect("service stats"));
+    assert_eq!(
+        report.captured,
+        sync.service().expect("service").captured_words()
     );
 }
 
