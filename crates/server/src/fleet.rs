@@ -1,5 +1,5 @@
 //! Sharded multi-[`System`] fleet: a router front-end over N independent
-//! shards, one driver per shard, with fleet-level aggregated
+//! shards, each behind its own lock, with fleet-level aggregated
 //! observability.
 //!
 //! One `System` — one DRAM channel set, one TRNG engine — saturates near
@@ -7,9 +7,10 @@
 //! deployments scale past a single memory controller by adding
 //! sockets/nodes; this module is that scale-out layer for the simulated
 //! server: a [`ShardRouter`] distributes `open_session`/`getrandom`
-//! traffic across shards, each shard advances virtual time on its own
-//! host thread, and [`FleetSnapshot`] / [`FleetStats`] aggregate the
-//! per-shard views back into one fleet readout.
+//! traffic across shards, each shard's virtual time is advanced by the
+//! callers of its sessions (or its pacer, under wall-clock pacing), and
+//! [`FleetSnapshot`] / [`FleetStats`] aggregate the per-shard views back
+//! into one fleet readout.
 //!
 //! # Determinism contract
 //!
@@ -266,8 +267,10 @@ pub struct FleetStats {
 impl FleetStats {
     /// Aggregates the per-shard service statistics.
     pub fn aggregate(shards: &[ServiceStats]) -> FleetStats {
-        let mut latency_log: Vec<u64> =
-            shards.iter().flat_map(|s| s.latency_log.iter().copied()).collect();
+        let mut latency_log: Vec<u64> = shards
+            .iter()
+            .flat_map(|s| s.latency_log.iter().copied())
+            .collect();
         latency_log.sort_unstable();
         FleetStats {
             requests_offered: shards.iter().map(|s| s.requests_offered).sum(),
@@ -409,8 +412,9 @@ impl FleetReport {
     }
 }
 
-/// The live fleet front-end: N per-shard [`RngServer`]s (one driver
-/// thread each), a shared [`ShardRouter`], and the global session map.
+/// The live fleet front-end: N per-shard [`RngServer`]s (a lock each;
+/// no thread under virtual pacing), a shared [`ShardRouter`], and the
+/// global session map.
 /// Sessions opened through the fleet land on exactly one shard and keep
 /// the full [`SessionHandle`] API.
 pub struct FleetServer {
@@ -546,21 +550,14 @@ impl FleetServer {
     ///
     /// # Panics
     ///
-    /// Panics if a shard driver or the aggregator thread panicked.
+    /// Panics if a misuse killed a shard or the aggregator thread
+    /// panicked.
     pub fn shutdown(mut self) -> FleetReport {
-        let shards: Vec<ServerReport> = self
-            .servers
-            .drain(..)
-            .map(RngServer::shutdown)
-            .collect();
+        let shards: Vec<ServerReport> = self.servers.drain(..).map(RngServer::shutdown).collect();
         if let Some(agg) = self.aggregator.take() {
             agg.join().expect("aggregator thread panicked");
         }
-        let sessions = self
-            .sessions
-            .lock()
-            .expect("session map poisoned")
-            .clone();
+        let sessions = self.sessions.lock().expect("session map poisoned").clone();
         let mut admission = AdmissionStats::default();
         for r in &shards {
             admission.accepted += r.admission.accepted;
@@ -609,7 +606,10 @@ fn aggregate_stream(
         }
         let all_done = done.iter().all(|&d| d);
         if fresh && latest.iter().all(|s| s.is_some()) {
-            let shard_snaps: Vec<Snapshot> = latest.iter().map(|s| s.clone().expect("all some")).collect();
+            let shard_snaps: Vec<Snapshot> = latest
+                .iter()
+                .map(|s| s.clone().expect("all some"))
+                .collect();
             let map = sessions.lock().expect("session map poisoned").clone();
             if tx
                 .send(FleetSnapshot::aggregate(shard_snaps, &map))

@@ -4,50 +4,54 @@
 //! The synchronous service layer (`strange_core::service`) simulates
 //! clients *inside* the simulation loop; this crate turns the simulated
 //! system into a **server**: many real OS threads open sessions and
-//! submit `getrandom(bytes)` requests against one shared [`System`],
-//! while a single *driver* thread owns the simulation, advances virtual
-//! time in [`System::advance_until`] spans, injects arrivals at their
-//! exact cycles, and drains completions back to the blocked or polling
-//! submitters over per-session channels.
+//! submit `getrandom(bytes)` requests against one shared [`System`]. The
+//! system and the server's bookkeeping — the arrival schedule, each
+//! session's state and outbox, admission control — form the *driver*,
+//! which sits behind one lock. Under virtual pacing the threads waiting
+//! for results advance the simulation themselves.
 //!
 //! # Threading model
 //!
 //! ```text
-//!  submitter threads                    driver thread
-//!  ┌──────────────┐  Ctl::Submit   ┌──────────────────────┐
-//!  │SessionHandle │ ─────────────▶ │  schedule (min-heap)  │
-//!  │  .getrandom  │                │  System::advance_until│
-//!  │  .recv ◀──────────────────────│  take_service_        │
-//!  └──────────────┘  ServedRequest │     completion()      │
-//!        × N          per-session  └──────────────────────┘
-//!                     channel
+//!  caller threads              Mutex<Driver>
+//!  ┌──────────────┐ submit ┌──────────────────────────┐
+//!  │SessionHandle │ ─────▶ │ schedule (min-heap)      │
+//!  │  .getrandom  │  step  │ System::advance_until    │
+//!  │  .recv ◀──────────────│ take_service_completion  │
+//!  └──────────────┘ outbox │ → that session's outbox  │
+//!        × N               └──────────────────────────┘
+//!           parks on the Condvar while another
+//!           session holds the virtual-time barrier
 //! ```
 //!
-//! The driver is the only owner of the [`System`]; submitters never touch
-//! simulation state, so no lock guards the hot loop. Three things cross
-//! threads, all over the crate's private handoff channel: control
-//! messages (`Ctl`: open, submit, ack, close, shutdown) on one channel
-//! every handle shares, each session's outcomes on a channel of its own,
-//! and the session id that `open_session` waits for. The driver relies
-//! only on per-sender FIFO order: a session's messages reach it in the
-//! order its handle sent them. Only the observed servers' snapshot
-//! streams use the standard library's channel, because their receivers
-//! are public API.
+//! Every handle call is a method call on the driver under its `Mutex`.
+//! A caller blocked in [`SessionHandle::recv_outcome`] (and so in
+//! [`SessionHandle::getrandom`]) runs the virtual-time loop on its own
+//! thread — deliver pending completions to their sessions' outboxes,
+//! advance to the next arrival or completion, inject what is due — until
+//! its own outbox holds an outcome. It parks on the server's `Condvar`
+//! only while another session holds the virtual-time barrier, and is
+//! woken when a thread delivers its outcome or clears the barrier.
+//! [`SessionHandle::try_recv_outcome`] drives the same way but never
+//! parks, so polling clients make progress on their own. A lone session
+//! costs no context switch per call, and two sessions on two threads
+//! about one: the thread that delivers the other's outcome wakes it.
 //!
-//! The handoff channel is a mutex-guarded queue with a condition
-//! variable and two wake rules: a sender wakes the receiver only after it
-//! has released the lock, and only when the receiver is parked. A
-//! blocking [`SessionHandle::getrandom`] then costs the two context
-//! switches a driver thread requires — the submit wakes the driver, the
-//! outcome wakes the submitter — and nothing spins or yields. The
-//! standard library's channel wakes a parked receiver from inside its
-//! waker lock instead. On one CPU the woken thread preempts the sender
-//! and spins on that lock before it sleeps again, once on submit and once
-//! on delivery. In a sampled, pinned run of the benchmark's
-//! `server_closed` loop that spinning took 15 % of CPU time and futex
-//! calls another 42 %. Replacing the channel took the workload from
-//! 121.5 to 178.5 thousand calls per second on 2 vCPUs (EXPERIMENTS.md,
-//! "A getrandom without a lock convoy").
+//! Two wake rules keep that at one switch: a thread wakes parked ones
+//! only after it has released the lock, so a woken thread never finds
+//! the lock held, and only when one is parked. A non-blocking submit,
+//! [`SessionHandle::ack`] or [`SessionHandle::close`] that clears the
+//! barrier wakes a parked caller, because the submitter may never drive;
+//! a `getrandom` submits and drives under one lock, so it wakes no one.
+//! Nothing spins or yields. Under [`Pacing::Virtual`] a server spawns no
+//! thread at all: a thread that owned the system would cost every
+//! blocking call two context switches, one to wake it and one to wake
+//! the caller (EXPERIMENTS.md, "A getrandom on its caller's thread").
+//!
+//! A client misuse (a closed-loop submit on a pipelined session, say) or
+//! a panic under the lock kills the server rather than the process:
+//! every later receive panics "server dropped the session", every later
+//! submit or open panics "server is running", and no `Drop` panics.
 //!
 //! # Pacing and the determinism contract
 //!
@@ -59,15 +63,16 @@
 //!   cannot perturb it — so a fixed submission schedule (sessions opened
 //!   in a fixed order, each running a seeded request sequence) produces
 //!   **bit-for-bit** the results of the equivalent synchronous
-//!   `ServiceConfig` run, no matter how many OS threads submit or how
-//!   they interleave (asserted in `tests/facade.rs`). Because a
-//!   completion is observed one cycle after it lands, a post-completion
-//!   delay of 0 behaves as 1; the equivalent synchronous closed loop is
-//!   one with `think >= 1`.
+//!   `ServiceConfig` run, no matter how many OS threads submit, how they
+//!   interleave or which of them drives (asserted in `tests/facade.rs`).
+//!   Because a completion is observed one cycle after it lands, a
+//!   post-completion delay of 0 behaves as 1; the equivalent synchronous
+//!   closed loop is one with `think >= 1`.
 //! * [`Pacing::WallClock`] — virtual time is pegged to the host clock at
-//!   a configurable rate for interactive load tests; arrivals are
-//!   stamped when the driver receives them, so results are *not*
-//!   reproducible across runs.
+//!   a configurable rate for interactive load tests. Time advances with
+//!   no caller present, so this pacing keeps one *pacer* thread, the only
+//!   thread a server spawns; arrivals are stamped at the submit call, so
+//!   results are *not* reproducible across runs.
 //!
 //! Sessions carry a [`strange_core::QosClass`]; the Section 5.2
 //! arbitration and the service issue path see the tenant priority, so
@@ -75,7 +80,7 @@
 //!
 //! Autonomous sessions (non-manual [`ClientSpec`]s — Poisson, bursty,
 //! trace replay) may also be opened as *background load generators*:
-//! they run inside the simulation without per-request channel traffic.
+//! they run inside the simulation without per-request handle traffic.
 //! Under [`Pacing::Virtual`] they do not gate time — they generate load
 //! only while interactive traffic (or wall-clock pacing) advances it.
 //!
@@ -96,7 +101,7 @@
 //! Two observability hooks close the load-testing loop:
 //! [`RngServer::start_observed`] streams periodic [`Snapshot`]s
 //! (per-tenant latency percentiles, RNG queue depth, buffer occupancy)
-//! from the driver during wall-clock runs, and — when the system was
+//! from the pacer during wall-clock runs, and — when the system was
 //! built with `ServiceConfig::record_arrivals` — the final
 //! [`ServerReport::arrival_logs`] carry every session's arrival trace,
 //! so a wall-clock load test can be re-run deterministically through
@@ -107,11 +112,11 @@
 
 pub mod admission;
 pub mod fleet;
-mod handoff;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,7 +127,6 @@ use admission::TokenBucket;
 pub use admission::{
     AdmissionConfig, AdmissionStats, Backoff, RetryAfter, ShedReason, SubmitOutcome,
 };
-use handoff::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 /// CPU-cycle budget per driver advance while waiting on a completion;
 /// generously above any realistic request latency, so exhausting it
@@ -144,65 +148,16 @@ pub enum Pacing {
     },
 }
 
-/// Control messages from session handles to the driver.
-enum Ctl {
-    Open {
-        spec: ClientSpec,
-        completions: Sender<SubmitOutcome>,
-        reply: Sender<usize>,
-    },
-    Submit {
-        session: usize,
-        bytes: usize,
-        delay: u64,
-        /// Cycles from scheduled arrival to completion before the
-        /// request times out (`u64::MAX` = none).
-        deadline: u64,
-    },
-    /// Open-loop burst: `count` arrivals at a fixed `gap`, anchored at
-    /// the session's release (or, while the session is busy, its latest
-    /// scheduled arrival) — offered load that does not slow down with
-    /// the server.
-    SubmitBurst {
-        session: usize,
-        bytes: usize,
-        start_delay: u64,
-        gap: u64,
-        count: usize,
-        deadline: u64,
-    },
-    /// Pipelined open-loop submit: `count` arrivals chained off the
-    /// session's previous *arrival* (`arrival = prev arrival + gap`),
-    /// independent of completions. Marks the session pipelined: every
-    /// delivery then owes the driver one client reaction (another
-    /// chained submit, an ack, or a close) before virtual time may
-    /// advance, so each chained arrival is computed at a deterministic
-    /// simulated cycle.
-    SubmitChained {
-        session: usize,
-        bytes: usize,
-        gap: u64,
-        count: usize,
-        deadline: u64,
-    },
-    /// Releases a pipelined session's per-delivery barrier without
-    /// extending the pipeline (the client consumed a completion and
-    /// declines to chain another request).
-    Ack {
-        session: usize,
-    },
-    Close {
-        session: usize,
-    },
-    Shutdown,
-}
-
 /// One scheduled arrival: `(cycle, session, bytes, first_cycle,
 /// deadline_at, defers)`. Ordering (the min-heap key) is dominated by
 /// `(cycle, session, bytes)` — the session tiebreak keeps same-cycle
-/// injection order independent of host message order; the trailing
+/// injection order independent of host call order; the trailing
 /// fields only break exact duplicates and are themselves deterministic.
 type SchedEntry = (u64, usize, usize, u64, u64, u32);
+
+/// Why a server no longer runs: it shut down, a client misused it, or a
+/// thread panicked while holding its lock.
+type Dead = &'static str;
 
 /// Final accounting of a server run, returned by [`RngServer::shutdown`].
 #[derive(Debug, Clone)]
@@ -234,8 +189,9 @@ pub struct ServerReport {
     pub system: SystemStats,
 }
 
-/// A periodic progress snapshot emitted by the driver thread of an
-/// observed wall-clock server ([`RngServer::start_observed`]): the
+/// A progress snapshot of an observed server
+/// ([`RngServer::start_observed`]): emitted periodically by the pacer of
+/// a wall-clock server, and once at shutdown under any pacing — the
 /// in-progress view a live load-test dashboard consumes instead of
 /// waiting for the final [`ServerReport`].
 #[derive(Debug, Clone)]
@@ -284,7 +240,7 @@ pub struct Snapshot {
 /// submitter thread so it can open its own sessions.
 #[derive(Clone)]
 pub struct ServerClient {
-    ctl: Sender<Ctl>,
+    shared: Arc<Shared>,
 }
 
 impl ServerClient {
@@ -297,26 +253,22 @@ impl ServerClient {
     /// # Panics
     ///
     /// Panics if the server has shut down, or if the spec is invalid
-    /// ([`ClientSpec::validate`] — checked here so the error surfaces in
-    /// the calling thread, not the driver).
+    /// ([`ClientSpec::validate`]).
     pub fn open_session(&self, spec: ClientSpec) -> SessionHandle {
         if let Err(e) = spec.validate() {
             panic!("open_session: invalid session spec: {e}");
         }
-        let (completions, rx) = channel();
-        let (reply, mut reply_rx) = channel();
-        self.ctl
-            .send(Ctl::Open {
-                spec,
-                completions,
-                reply,
-            })
-            .expect("server is running");
-        let id = reply_rx.recv().expect("server is running");
+        let mut driver = self.shared.lock();
+        if let Some(dead) = driver.dead {
+            drop(driver);
+            panic!("server is running: {dead}");
+        }
+        let (id, slot) = driver.open(spec);
+        self.shared.unlock(driver);
         SessionHandle {
             id,
-            ctl: self.ctl.clone(),
-            rx,
+            slot,
+            shared: Arc::clone(&self.shared),
             outstanding: 0,
             first: true,
         }
@@ -326,12 +278,17 @@ impl ServerClient {
 /// One open session: the submitting thread's endpoint.
 ///
 /// Requests submitted through the handle are served in order; results
-/// arrive on the session's private channel via [`SessionHandle::recv`]
-/// (blocking) or [`SessionHandle::try_recv`] (polling).
+/// land in the session's outbox and are taken with
+/// [`SessionHandle::recv`] (blocking) or [`SessionHandle::try_recv`]
+/// (polling). Dropping the handle without [`SessionHandle::close`]
+/// detaches the session: it stops holding the virtual-time barrier, its
+/// outcomes are discarded, and it closes once nothing of it is scheduled
+/// or in flight (an autonomous session keeps generating load).
 pub struct SessionHandle {
     id: usize,
-    ctl: Sender<Ctl>,
-    rx: Receiver<SubmitOutcome>,
+    /// The session's slot in the driver.
+    slot: usize,
+    shared: Arc<Shared>,
     outstanding: usize,
     first: bool,
 }
@@ -348,11 +305,21 @@ impl SessionHandle {
         self.outstanding
     }
 
+    /// Runs one client action on the driver under the lock.
+    fn send(&self, action: impl FnOnce(&mut Driver, usize) -> Result<(), Dead>) {
+        let mut driver = self.shared.lock();
+        let acted = driver.act(|driver| action(driver, self.slot));
+        self.shared.unlock(driver);
+        if let Err(dead) = acted {
+            panic!("server is running: {dead}");
+        }
+    }
+
     /// Submits a `getrandom(bytes)` request without blocking. Under
     /// [`Pacing::Virtual`] the request arrives `delay` cycles after the
     /// session's previous completion (its open cycle for the first
     /// request); under [`Pacing::WallClock`] `delay` is a minimum gap and
-    /// the arrival is otherwise stamped on receipt.
+    /// the arrival is otherwise stamped at the call.
     pub fn submit_after(&mut self, bytes: usize, delay: u64) {
         self.submit_with_deadline(bytes, delay, u64::MAX);
     }
@@ -364,14 +331,7 @@ impl SessionHandle {
     /// is [`SubmitOutcome::TimedOut`] instead of `Served`.
     pub fn submit_with_deadline(&mut self, bytes: usize, delay: u64, deadline: u64) {
         assert!(bytes > 0, "getrandom of zero bytes");
-        self.ctl
-            .send(Ctl::Submit {
-                session: self.id,
-                bytes,
-                delay,
-                deadline,
-            })
-            .expect("server is running");
+        self.send(|driver, slot| driver.submit(slot, bytes, delay, deadline));
         self.outstanding += 1;
     }
 
@@ -397,16 +357,9 @@ impl SessionHandle {
         assert!(bytes > 0, "getrandom of zero bytes");
         assert!(count > 0, "empty burst");
         self.first = false;
-        self.ctl
-            .send(Ctl::SubmitBurst {
-                session: self.id,
-                bytes,
-                start_delay,
-                gap,
-                count,
-                deadline,
-            })
-            .expect("server is running");
+        self.send(|driver, slot| {
+            driver.submit_burst(slot, bytes, start_delay, gap, count, deadline)
+        });
         self.outstanding += count;
     }
 
@@ -418,27 +371,20 @@ impl SessionHandle {
     /// serialization of [`SessionHandle::submit_after`].
     ///
     /// The first call (typically with `count = k`, the pipeline fill) is
-    /// one atomic control message, so the whole fill anchors off one
-    /// deterministic state. From then on the session is **pipelined**:
-    /// under [`Pacing::Virtual`] every received outcome must be answered
-    /// with exactly one `submit_pipelined`, [`SessionHandle::ack`], or
-    /// [`SessionHandle::close`] — virtual time halts until the driver
-    /// hears the decision, which is what keeps each chained arrival
-    /// independent of host scheduling. Mixing with `submit_after` /
-    /// `submit_burst` on the same session panics in the driver.
+    /// one call under the server's lock, so the whole fill anchors off
+    /// one deterministic state. From then on the session is
+    /// **pipelined**: under [`Pacing::Virtual`] every received outcome
+    /// must be answered with exactly one `submit_pipelined`,
+    /// [`SessionHandle::ack`], or [`SessionHandle::close`] — virtual time
+    /// halts until the driver hears the decision, which is what keeps
+    /// each chained arrival independent of host scheduling. Mixing with
+    /// `submit_after` / `submit_burst` on the same session is a misuse
+    /// that kills the server.
     pub fn submit_pipelined(&mut self, bytes: usize, gap: u64, count: usize, deadline: u64) {
         assert!(bytes > 0, "getrandom of zero bytes");
         assert!(count > 0, "empty pipeline");
         self.first = false;
-        self.ctl
-            .send(Ctl::SubmitChained {
-                session: self.id,
-                bytes,
-                gap,
-                count,
-                deadline,
-            })
-            .expect("server is running");
+        self.send(|driver, slot| driver.submit_chained(slot, bytes, gap, count, deadline));
         self.outstanding += count;
     }
 
@@ -446,19 +392,21 @@ impl SessionHandle {
     /// chaining another request: call once per received outcome when the
     /// pipeline should drain rather than extend.
     pub fn ack(&mut self) {
-        self.ctl
-            .send(Ctl::Ack { session: self.id })
-            .expect("server is running");
+        self.send(|driver, slot| {
+            driver.ack(slot);
+            Ok(())
+        });
     }
 
     /// Blocks until the next completion for this session arrives.
     ///
     /// # Panics
     ///
-    /// Panics if the server shut down with the request still in flight,
-    /// when nothing is outstanding, or if the outcome was a shed or
-    /// timeout (requests submitted under admission control or with
-    /// deadlines must be received via [`SessionHandle::recv_outcome`]).
+    /// Panics if the server shut down (or died) with the request still
+    /// in flight, when nothing is outstanding, or if the outcome was a
+    /// shed or timeout (requests submitted under admission control or
+    /// with deadlines must be received via
+    /// [`SessionHandle::recv_outcome`]).
     pub fn recv(&mut self) -> ServedRequest {
         match self.recv_outcome() {
             SubmitOutcome::Served(served) => served,
@@ -467,26 +415,27 @@ impl SessionHandle {
     }
 
     /// Blocks until the next outcome for this session arrives: served,
-    /// shed by admission control, or timed out.
+    /// shed by admission control, or timed out. Under
+    /// [`Pacing::Virtual`] the calling thread advances the simulation
+    /// itself until the outcome is delivered.
     ///
     /// # Panics
     ///
-    /// Panics if the server shut down with the request still in flight,
-    /// or when nothing is outstanding.
+    /// Panics if the server shut down (or died) with the request still
+    /// in flight, or when nothing is outstanding.
     pub fn recv_outcome(&mut self) -> SubmitOutcome {
         assert!(self.outstanding > 0, "recv with no outstanding request");
-        let outcome = self.rx.recv().expect("server dropped the session");
-        self.outstanding -= 1;
-        outcome
+        self.exchange(None, true)
+            .expect("a blocking receive returns an outcome")
     }
 
     /// Returns the next completion if one is already available.
     ///
     /// # Panics
     ///
-    /// Panics if the server shut down with requests still in flight
-    /// (mirrors [`SessionHandle::recv`] — a polling submitter must not
-    /// spin forever on a dead driver), or on a non-served outcome.
+    /// Panics if the server shut down (or died) with requests still in
+    /// flight (mirrors [`SessionHandle::recv`] — a polling submitter must
+    /// not spin forever on a dead server), or on a non-served outcome.
     pub fn try_recv(&mut self) -> Option<ServedRequest> {
         self.try_recv_outcome().map(|o| match o {
             SubmitOutcome::Served(served) => served,
@@ -494,19 +443,72 @@ impl SessionHandle {
         })
     }
 
-    /// Returns the next outcome if one is already available.
+    /// Returns the next outcome if one is available. Under
+    /// [`Pacing::Virtual`] the calling thread first advances the
+    /// simulation as far as it can without waiting on another session.
     ///
     /// # Panics
     ///
-    /// Panics if the server shut down with requests still in flight.
+    /// Panics if the server shut down (or died) with requests still in
+    /// flight.
     pub fn try_recv_outcome(&mut self) -> Option<SubmitOutcome> {
-        match self.rx.try_recv() {
-            Ok(outcome) => {
-                self.outstanding -= 1;
-                Some(outcome)
+        self.exchange(None, false)
+    }
+
+    /// Takes the session's next outcome, after first submitting
+    /// `(bytes, delay, deadline)` under the same lock when given. Under
+    /// virtual pacing the caller drives until its outbox holds an
+    /// outcome; with `block` it parks while another session holds the
+    /// barrier, without it returns `None` there.
+    fn exchange(
+        &mut self,
+        submit: Option<(usize, u64, u64)>,
+        block: bool,
+    ) -> Option<SubmitOutcome> {
+        let shared = &*self.shared;
+        let mut driver = shared.lock();
+        if let Some((bytes, delay, deadline)) = submit {
+            if let Err(dead) = driver.act(|driver| driver.submit(self.slot, bytes, delay, deadline))
+            {
+                shared.unlock(driver);
+                panic!("server is running: {dead}");
             }
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => panic!("server dropped the session"),
+            self.outstanding += 1;
+        }
+        let taken = loop {
+            if let Some(outcome) = driver.sessions[self.slot].outbox.pop_front() {
+                break Ok(Some(outcome));
+            }
+            if let Some(dead) = driver.dead {
+                break Err(dead);
+            }
+            if driver.virtual_pacing() && driver.step(true) {
+                continue;
+            }
+            if !block {
+                break Ok(None);
+            }
+            if driver.must_wake() {
+                // Hand the wake-ups this thread owes out before parking:
+                // outside the lock, then look again.
+                shared.unlock(driver);
+                driver = shared.lock();
+                continue;
+            }
+            driver.sessions[self.slot].parked = true;
+            driver.parked += 1;
+            driver = shared.wait(driver, None);
+            driver.sessions[self.slot].parked = false;
+            driver.parked -= 1;
+            driver.ready -= usize::from(!driver.sessions[self.slot].outbox.is_empty());
+        };
+        shared.unlock(driver);
+        match taken {
+            Ok(outcome) => {
+                self.outstanding -= usize::from(outcome.is_some());
+                outcome
+            }
+            Err(dead) => panic!("server dropped the session: {dead}"),
         }
     }
 
@@ -521,10 +523,13 @@ impl SessionHandle {
     ///
     /// Panics if `out` is empty.
     pub fn getrandom(&mut self, out: &mut [u8], think: u64) -> ServedRequest {
+        assert!(!out.is_empty(), "getrandom of zero bytes");
         let delay = if self.first { 0 } else { think };
         self.first = false;
-        self.submit_after(out.len(), delay);
-        let served = self.recv();
+        let served = match self.exchange(Some((out.len(), delay, u64::MAX)), true) {
+            Some(SubmitOutcome::Served(served)) => served,
+            other => panic!("non-served outcome {other:?}: use recv_outcome"),
+        };
         for (chunk, word) in out.chunks_mut(8).zip(&served.words) {
             chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
         }
@@ -544,11 +549,12 @@ impl SessionHandle {
         deadline: u64,
         backoff: &mut Backoff,
     ) -> SubmitOutcome {
+        assert!(!out.is_empty(), "getrandom of zero bytes");
         let mut delay = if self.first { 0 } else { think };
         self.first = false;
         loop {
-            self.submit_with_deadline(out.len(), delay, deadline);
-            match self.recv_outcome() {
+            let outcome = self.exchange(Some((out.len(), delay, deadline)), true);
+            match outcome.expect("a blocking receive returns an outcome") {
                 SubmitOutcome::Served(served) => {
                     for (chunk, word) in out.chunks_mut(8).zip(&served.words) {
                         chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
@@ -567,9 +573,26 @@ impl SessionHandle {
 
     /// Closes the session. Submits not yet injected into the simulation
     /// are discarded; requests already in flight drain inside the
-    /// simulation and their results are dropped.
+    /// simulation and their results are dropped. A no-op on a server
+    /// that is no longer running.
     pub fn close(self) {
-        let _ = self.ctl.send(Ctl::Close { session: self.id });
+        let mut driver = self.shared.lock();
+        if driver.dead.is_none() {
+            driver.close_session(self.slot);
+        }
+        self.shared.unlock(driver);
+    }
+}
+
+impl Drop for SessionHandle {
+    /// Detaches the session (see the type docs); a no-op once it is
+    /// closed or the server is no longer running.
+    fn drop(&mut self) {
+        let mut driver = self.shared.lock();
+        if driver.dead.is_none() {
+            driver.detach(self.slot);
+        }
+        self.shared.unlock(driver);
     }
 }
 
@@ -593,10 +616,11 @@ impl rand::RngCore for SessionHandle {
     }
 }
 
-/// The server: owns the driver thread that owns the simulated [`System`].
+/// The server: the simulated [`System`] behind the driver's lock, and
+/// under [`Pacing::WallClock`] the pacer thread that advances it.
 pub struct RngServer {
-    ctl: Sender<Ctl>,
-    driver: Option<JoinHandle<ServerReport>>,
+    shared: Arc<Shared>,
+    pacer: Option<JoinHandle<()>>,
 }
 
 impl RngServer {
@@ -605,7 +629,7 @@ impl RngServer {
     /// the caller consumes the bytes); trace cores are allowed and run
     /// alongside the served sessions as background memory traffic.
     pub fn start(system: System, pacing: Pacing) -> RngServer {
-        RngServer::spawn(system, pacing, None, AdmissionConfig::disabled())
+        RngServer::launch(system, pacing, None, AdmissionConfig::disabled())
     }
 
     /// Starts a server with overload protection: every arrival passes
@@ -619,53 +643,62 @@ impl RngServer {
         pacing: Pacing,
         admission: AdmissionConfig,
     ) -> RngServer {
-        RngServer::spawn(system, pacing, None, admission)
+        RngServer::launch(system, pacing, None, admission)
     }
 
-    /// Starts an *observed* server: the driver thread additionally emits
-    /// a [`Snapshot`] on the returned channel roughly every `every` of
-    /// host time while the simulation is being paced against the wall
-    /// clock, plus one final snapshot as the driver winds down (under
-    /// any pacing). Dropping the receiver silently stops the stream.
-    /// *Periodic* snapshots only flow under [`Pacing::WallClock`] — a
-    /// virtual-paced run is deterministic and fully described by its
-    /// final report, so it emits just the parting snapshot.
+    /// Starts an *observed* server: it additionally emits a [`Snapshot`]
+    /// on the returned channel roughly every `every` of host time while
+    /// the pacer paces the simulation against the wall clock, plus one
+    /// final snapshot at shutdown (under any pacing). Dropping the
+    /// receiver silently stops the stream. *Periodic* snapshots only flow
+    /// under [`Pacing::WallClock`] — a virtual-paced run is deterministic
+    /// and fully described by its final report, so it emits just the
+    /// parting snapshot.
     pub fn start_observed(
         system: System,
         pacing: Pacing,
         every: Duration,
     ) -> (RngServer, mpsc::Receiver<Snapshot>) {
         let (tx, rx) = mpsc::channel();
-        let spawned = RngServer::spawn(
+        let server = RngServer::launch(
             system,
             pacing,
             Some(Observer::new(tx, every)),
             AdmissionConfig::disabled(),
         );
-        (spawned, rx)
+        (server, rx)
     }
 
-    fn spawn(
+    fn launch(
         system: System,
         pacing: Pacing,
         observer: Option<Observer>,
         admission: AdmissionConfig,
     ) -> RngServer {
-        let (ctl, ctl_rx) = channel();
-        let driver = std::thread::Builder::new()
-            .name("strange-server-driver".into())
-            .spawn(move || Driver::new(system, ctl_rx, pacing, observer, admission).run())
-            .expect("spawn driver thread");
-        RngServer {
-            ctl,
-            driver: Some(driver),
-        }
+        let shared = Arc::new(Shared {
+            driver: Mutex::new(Driver::new(system, pacing, observer, admission)),
+            wake: Condvar::new(),
+            paced: pacing != Pacing::Virtual,
+            queued: AtomicUsize::new(0),
+        });
+        let pacer = match pacing {
+            Pacing::Virtual => None,
+            Pacing::WallClock { cycles_per_ms } => {
+                let shared = Arc::clone(&shared);
+                let pacer = std::thread::Builder::new()
+                    .name("strange-server-pacer".into())
+                    .spawn(move || shared.pace(cycles_per_ms))
+                    .expect("spawn pacer thread");
+                Some(pacer)
+            }
+        };
+        RngServer { shared, pacer }
     }
 
     /// A cloneable connection for submitter threads.
     pub fn client(&self) -> ServerClient {
         ServerClient {
-            ctl: self.ctl.clone(),
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -674,36 +707,166 @@ impl RngServer {
         self.client().open_session(spec)
     }
 
-    /// Stops the server after draining every in-flight request and
-    /// returns the final accounting.
+    /// Stops the server after draining every in-flight request on the
+    /// calling thread and returns the final accounting. Callers still
+    /// parked then see "server dropped the session".
     ///
     /// # Panics
     ///
-    /// Panics if the driver thread panicked.
+    /// Panics if a misuse or a panic under the lock killed the server.
     pub fn shutdown(mut self) -> ServerReport {
-        let _ = self.ctl.send(Ctl::Shutdown);
-        self.driver
-            .take()
-            .expect("driver present until shutdown")
-            .join()
-            .expect("driver thread panicked")
+        self.stop()
+            .unwrap_or_else(|dead| panic!("server died before shutdown: {dead}"))
+    }
+
+    /// Stops the pacer, drains, emits the parting snapshot and builds the
+    /// report; `Err` when the server is no longer running.
+    fn stop(&mut self) -> Result<ServerReport, Dead> {
+        if let Some(pacer) = self.pacer.take() {
+            let mut driver = self.shared.lock();
+            driver.stopping = true;
+            driver.wake |= driver.pacer_parked;
+            self.shared.unlock(driver);
+            // A pacer that panicked poisoned the lock: `dead` says so.
+            let _ = pacer.join();
+        }
+        let mut driver = self.shared.lock();
+        if let Some(dead) = driver.dead {
+            self.shared.unlock(driver);
+            return Err(dead);
+        }
+        // Drain ignoring the barrier: no session's decision is coming.
+        while driver.step(false) {}
+        driver.observe(true);
+        // The snapshot stream ends here, not when the last handle goes.
+        driver.observer = None;
+        let report = driver.report();
+        driver.kill("shut down");
+        self.shared.unlock(driver);
+        Ok(report)
     }
 }
 
 impl Drop for RngServer {
     fn drop(&mut self) {
-        if let Some(driver) = self.driver.take() {
-            let _ = self.ctl.send(Ctl::Shutdown);
-            let _ = driver.join();
+        // Shuts down unless `shutdown` did; a dead server is left as is.
+        let _ = self.stop();
+    }
+}
+
+/// What [`RngServer`], every [`ServerClient`] and every
+/// [`SessionHandle`] share: the driver behind one lock, and the
+/// condition variable that parked callers and the pacer wait on.
+struct Shared {
+    driver: Mutex<Driver>,
+    wake: Condvar,
+    /// Wall-clock pacing: the pacer runs, so `queued` is kept.
+    paced: bool,
+    /// Threads waiting to take the lock (kept under wall-clock pacing
+    /// only). The pacer steps aside for them between turns; the mutex
+    /// alone would let it take the lock straight back and starve them.
+    queued: AtomicUsize,
+}
+
+/// Marks a driver whose lock was poisoned dead: a thread that panicked
+/// under the lock left it in an unknown state, and the guard is used only
+/// for the `dead` check every caller makes.
+fn killed(mut driver: MutexGuard<'_, Driver>) -> MutexGuard<'_, Driver> {
+    driver.kill("a thread panicked while driving the server");
+    driver
+}
+
+impl Shared {
+    /// Locks the driver; a poisoned lock kills the server.
+    fn lock(&self) -> MutexGuard<'_, Driver> {
+        let locked = if self.paced {
+            self.queued.fetch_add(1, Ordering::SeqCst);
+            let locked = self.driver.lock();
+            self.queued.fetch_sub(1, Ordering::SeqCst);
+            locked
+        } else {
+            self.driver.lock()
+        };
+        locked.unwrap_or_else(|poisoned| killed(poisoned.into_inner()))
+    }
+
+    /// Releases the lock, then wakes the parked threads if the driver
+    /// owes a wake-up — after unlocking, so a woken thread never finds
+    /// the lock held.
+    fn unlock(&self, mut driver: MutexGuard<'_, Driver>) {
+        let wake = driver.must_wake();
+        driver.wake = false;
+        driver.pacer_yielding = false;
+        drop(driver);
+        if wake {
+            self.wake.notify_all();
         }
+    }
+
+    /// Waits on the condition variable (at most `timeout`). The caller
+    /// has handed out every wake-up it owed and re-checks its condition
+    /// after the wait.
+    fn wait<'a>(
+        &'a self,
+        driver: MutexGuard<'a, Driver>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, Driver> {
+        match timeout {
+            None => self
+                .wake
+                .wait(driver)
+                .unwrap_or_else(|poisoned| killed(poisoned.into_inner())),
+            Some(timeout) => self
+                .wake
+                .wait_timeout(driver, timeout)
+                .map_or_else(|poisoned| killed(poisoned.into_inner().0), |(d, _)| d),
+        }
+    }
+
+    /// The wall-clock pacer: keeps virtual time level with the host clock
+    /// and emits the observer's periodic snapshots, until shutdown.
+    fn pace(&self, cycles_per_ms: u64) {
+        let start = Instant::now();
+        let mut driver = self.lock();
+        while !driver.stopping && driver.dead.is_none() {
+            driver.observe(false);
+            let target = (start.elapsed().as_micros() as u64).saturating_mul(cycles_per_ms) / 1000;
+            let nap = if target > driver.sys.cpu_cycles() {
+                driver.catch_up(target);
+                if driver.must_wake() {
+                    self.unlock(driver);
+                    driver = self.lock();
+                }
+                if driver.ready == 0 && self.queued.load(Ordering::SeqCst) == 0 {
+                    continue;
+                }
+                // Step aside until the callers woken with an outcome and
+                // those waiting on the lock have had it: the next unlock
+                // wakes the pacer. The timeout is only a safety net.
+                driver.pacer_yielding = true;
+                Duration::from_millis(1)
+            } else if driver.schedule.is_empty() && driver.inflight.is_empty() {
+                // Caught up and idle: wait for a submit.
+                Duration::from_millis(1)
+            } else {
+                // Simulation ahead of the host clock: let it catch up.
+                Duration::from_micros(100)
+            };
+            driver.pacer_parked = true;
+            driver = self.wait(driver, Some(nap));
+            driver.pacer_parked = false;
+            driver.pacer_yielding = false;
+        }
+        self.unlock(driver);
     }
 }
 
 /// Driver-side session state.
 struct Sess {
-    /// Completion channel; `None` once the session is closed, so the
-    /// channel's buffer is returned at close rather than at shutdown.
-    tx: Option<Sender<SubmitOutcome>>,
+    /// Outcomes delivered and not yet taken by the handle. Emptied and
+    /// freed at close, so its buffer goes with the session rather than
+    /// at shutdown.
+    outbox: VecDeque<SubmitOutcome>,
     /// Cycle the session last became free: its open cycle, then the
     /// resolution cycle of each request (completion, shed, or timeout).
     release: u64,
@@ -713,7 +876,7 @@ struct Sess {
     scheduled: usize,
     /// Submits queued behind earlier ones (virtual pacing keeps one
     /// closed-loop request committed per interactive session; the rest
-    /// chain off its resolution in FIFO order, so host message timing
+    /// chain off its resolution in FIFO order, so host call timing
     /// cannot reorder or re-time them). `(bytes, delay, deadline)`.
     pending: VecDeque<(usize, u64, u64)>,
     /// Latest scheduled arrival cycle — the deterministic anchor for a
@@ -725,7 +888,8 @@ struct Sess {
     /// close) before time may advance.
     awaiting: bool,
     /// The session entered the pipelined (arrival-chained) discipline via
-    /// [`Ctl::SubmitChained`]; closed-loop/burst submits now panic.
+    /// [`SessionHandle::submit_pipelined`]; closed-loop/burst submits are
+    /// now a misuse.
     pipelined: bool,
     /// Pipelined per-delivery barrier: outcomes delivered to the session
     /// whose client reaction (chained submit, ack, or close) the driver
@@ -735,6 +899,11 @@ struct Sess {
     owed: u32,
     interactive: bool,
     closed: bool,
+    /// The handle was dropped without `close`: outcomes are discarded
+    /// and the next hand-over closes the session.
+    detached: bool,
+    /// The handle's thread is parked in a blocking receive.
+    parked: bool,
 }
 
 impl Sess {
@@ -757,12 +926,6 @@ impl Sess {
         self.awaiting = awaiting;
         self.owed = owed;
         *gating += usize::from(self.gates());
-    }
-
-    /// Sends an outcome to the session's handle; false when the handle
-    /// is gone (dropped, or the session closed).
-    fn send(&self, outcome: SubmitOutcome) -> bool {
-        self.tx.as_ref().is_some_and(|tx| tx.send(outcome).is_ok())
     }
 }
 
@@ -841,10 +1004,10 @@ struct Flight {
     deadline_at: u64,
 }
 
-/// The driver loop: sole owner of the simulated system.
+/// The simulated system and the server's bookkeeping, behind the
+/// server's lock. Every client action is a method call here.
 struct Driver {
     sys: System,
-    ctl: Receiver<Ctl>,
     pacing: Pacing,
     observer: Option<Observer>,
     /// Driver-opened sessions, indexed by `session_id - id_base` (a
@@ -852,8 +1015,8 @@ struct Driver {
     /// starting past them).
     sessions: Vec<Sess>,
     /// Sessions holding the virtual-time barrier (`Sess::gates`),
-    /// maintained by `Sess::set_gate` so the driver loop does not scan
-    /// every session ever opened on each turn.
+    /// maintained by `Sess::set_gate` so a step does not scan every
+    /// session ever opened.
     gating: usize,
     /// Service client id of the first driver-opened session.
     id_base: Option<usize>,
@@ -865,20 +1028,35 @@ struct Driver {
     adm_stats: AdmissionStats,
     /// Reused percentile sort buffer for the snapshot hot path.
     scratch: PercentileScratch,
-    shutdown: bool,
+    /// Callers parked in a blocking receive (sessions whose `parked` is
+    /// set).
+    parked: usize,
+    /// Parked callers whose outbox holds an outcome: woken, and not yet
+    /// back under the lock.
+    ready: usize,
+    /// The wall-clock pacer is waiting on the condition variable.
+    pacer_parked: bool,
+    /// The pacer waits for `ready` callers and threads queued on the
+    /// lock to have had the lock; the next unlock wakes it.
+    pacer_yielding: bool,
+    /// A parked thread must be woken once the lock is released.
+    wake: bool,
+    /// Shutdown asked the pacer to stop.
+    stopping: bool,
+    /// Set once the server no longer runs: every later receive and
+    /// submit fails with this reason.
+    dead: Option<Dead>,
 }
 
 impl Driver {
     fn new(
         sys: System,
-        ctl: Receiver<Ctl>,
         pacing: Pacing,
         observer: Option<Observer>,
         admission: AdmissionConfig,
     ) -> Self {
         Driver {
             sys,
-            ctl,
             pacing,
             observer,
             sessions: Vec::new(),
@@ -889,7 +1067,13 @@ impl Driver {
             admission,
             adm_stats: AdmissionStats::default(),
             scratch: PercentileScratch::default(),
-            shutdown: false,
+            parked: 0,
+            ready: 0,
+            pacer_parked: false,
+            pacer_yielding: false,
+            wake: false,
+            stopping: false,
+            dead: None,
         }
     }
 
@@ -897,141 +1081,188 @@ impl Driver {
         self.pacing == Pacing::Virtual
     }
 
-    /// Driver slot of a session id (ids from handles are service client
-    /// indices, offset by any clients configured at construction).
+    /// Driver slot of a session id (ids are service client indices,
+    /// offset by any clients configured at construction).
     fn slot(&self, session: usize) -> usize {
         let base = self.id_base.expect("no session opened yet");
-        debug_assert!(session >= base, "message for a non-driver session");
+        debug_assert!(session >= base, "a non-driver session");
         session - base
     }
 
-    fn handle(&mut self, msg: Ctl) {
-        match msg {
-            Ctl::Open {
-                spec,
-                completions,
-                reply,
-            } => {
-                let interactive = matches!(spec.arrival, ArrivalProcess::Manual);
-                let id = self.sys.open_session(spec);
-                let base = *self.id_base.get_or_insert(id);
-                debug_assert_eq!(id, base + self.sessions.len(), "driver-contiguous ids");
-                let now = self.sys.cpu_cycles();
-                let sess = Sess {
-                    tx: Some(completions),
-                    release: now,
-                    in_flight: 0,
-                    scheduled: 0,
-                    pending: VecDeque::new(),
-                    last_arrival: now,
-                    bucket: TokenBucket::new(now, &self.admission),
-                    awaiting: interactive && self.virtual_pacing(),
-                    pipelined: false,
-                    owed: 0,
-                    interactive,
-                    closed: false,
-                };
-                self.gating += usize::from(sess.gates());
-                self.sessions.push(sess);
-                let _ = reply.send(id);
-            }
-            Ctl::Submit {
-                session,
-                bytes,
-                delay,
-                deadline,
-            } => {
-                let now = self.sys.cpu_cycles();
-                let virtual_pacing = self.virtual_pacing();
-                let slot = self.slot(session);
-                let sess = &mut self.sessions[slot];
-                assert!(!sess.closed, "submit on a closed session");
-                assert!(!sess.pipelined, "closed-loop submit on a pipelined session");
-                sess.set_gate(&mut self.gating, false, sess.owed);
-                // Virtual pacing: a session with any committed request
-                // chains later submits behind it in FIFO order — whether
-                // the driver has drained one or two control messages when
-                // a pipelined pair arrives must not change any arrival
-                // cycle.
-                if virtual_pacing && sess.busy() {
-                    sess.pending.push_back((bytes, delay, deadline));
-                } else {
-                    let arrival = (sess.release + delay).max(now);
-                    self.schedule_arrival(slot, arrival, bytes, deadline);
-                }
-            }
-            Ctl::SubmitBurst {
-                session,
-                bytes,
-                start_delay,
-                gap,
-                count,
-                deadline,
-            } => {
-                let now = self.sys.cpu_cycles();
-                let virtual_pacing = self.virtual_pacing();
-                let slot = self.slot(session);
-                let sess = &mut self.sessions[slot];
-                assert!(!sess.closed, "submit on a closed session");
-                assert!(!sess.pipelined, "burst submit on a pipelined session");
-                sess.set_gate(&mut self.gating, false, sess.owed);
-                // Anchor the burst deterministically: a free session is
-                // behind the virtual-time barrier (now is a pure function
-                // of prior simulated work), a busy one anchors at its
-                // latest scheduled arrival so host timing can't re-time
-                // the burst.
-                let first = if virtual_pacing && sess.busy() {
-                    sess.last_arrival + start_delay
-                } else {
-                    (sess.release + start_delay).max(now)
-                };
-                for i in 0..count as u64 {
-                    self.schedule_arrival(slot, first + i * gap, bytes, deadline);
-                }
-            }
-            Ctl::SubmitChained {
-                session,
-                bytes,
-                gap,
-                count,
-                deadline,
-            } => {
-                let now = self.sys.cpu_cycles();
-                let virtual_pacing = self.virtual_pacing();
-                let slot = self.slot(session);
-                let sess = &mut self.sessions[slot];
-                assert!(!sess.closed, "submit on a closed session");
-                assert!(
-                    sess.interactive,
-                    "pipelined submit on an autonomous session"
-                );
-                sess.set_gate(&mut self.gating, false, sess.owed.saturating_sub(1));
-                sess.pipelined = true;
-                // Chain off the previous *arrival* (the open cycle before
-                // any): an arithmetic arrival series independent of
-                // completions — this is what distinguishes the pipeline
-                // from the closed loop. Under virtual pacing the chained
-                // cycle is a pure function of prior arrivals, so it may
-                // legitimately lie in the simulated past of a backlogged
-                // pipeline; injection stamps the scheduled arrival either
-                // way. WallClock clamps to now like every other path.
-                let mut arrival = sess.last_arrival + gap;
-                for _ in 0..count {
-                    if !virtual_pacing {
-                        arrival = arrival.max(now);
-                    }
-                    self.schedule_arrival(slot, arrival, bytes, deadline);
-                    arrival = self.sessions[slot].last_arrival + gap;
-                }
-            }
-            Ctl::Ack { session } => {
-                let slot = self.slot(session);
-                let sess = &mut self.sessions[slot];
-                sess.set_gate(&mut self.gating, false, sess.owed.saturating_sub(1));
-            }
-            Ctl::Close { session } => self.close_session(session),
-            Ctl::Shutdown => self.shutdown = true,
+    /// Runs a client action: `Err` when the server no longer runs. A
+    /// misuse kills the server; the action's call itself returns, and the
+    /// next receive reports it.
+    fn act(&mut self, action: impl FnOnce(&mut Driver) -> Result<(), Dead>) -> Result<(), Dead> {
+        if let Some(dead) = self.dead {
+            return Err(dead);
         }
+        if let Err(misuse) = action(self) {
+            self.kill(misuse);
+        }
+        Ok(())
+    }
+
+    /// Stops the server for good; parked callers wake to find it dead.
+    fn kill(&mut self, why: Dead) {
+        self.dead.get_or_insert(why);
+        self.wake |= self.parked > 0 || self.pacer_parked;
+    }
+
+    /// Whether releasing the lock must wake the parked threads: a
+    /// delivery, a kill or new wall-clock work asked for it, the pacer
+    /// is yielding the lock, or (virtual pacing) the barrier is clear with
+    /// work left while callers are parked, so one of them must drive.
+    fn must_wake(&self) -> bool {
+        self.wake
+            || self.pacer_yielding
+            || (self.parked > 0
+                && self.gating == 0
+                && self.virtual_pacing()
+                && !(self.schedule.is_empty() && self.inflight.is_empty()))
+    }
+
+    /// Opens a session; returns its id and slot.
+    fn open(&mut self, spec: ClientSpec) -> (usize, usize) {
+        let interactive = matches!(spec.arrival, ArrivalProcess::Manual);
+        let id = self.sys.open_session(spec);
+        let base = *self.id_base.get_or_insert(id);
+        let slot = self.sessions.len();
+        debug_assert_eq!(id, base + slot, "driver-contiguous ids");
+        let now = self.sys.cpu_cycles();
+        let sess = Sess {
+            outbox: VecDeque::new(),
+            release: now,
+            in_flight: 0,
+            scheduled: 0,
+            pending: VecDeque::new(),
+            last_arrival: now,
+            bucket: TokenBucket::new(now, &self.admission),
+            awaiting: interactive && self.virtual_pacing(),
+            pipelined: false,
+            owed: 0,
+            interactive,
+            closed: false,
+            detached: false,
+            parked: false,
+        };
+        self.gating += usize::from(sess.gates());
+        self.sessions.push(sess);
+        (id, slot)
+    }
+
+    /// A closed-loop submit: arrives `delay` after the session's release.
+    fn submit(&mut self, slot: usize, bytes: usize, delay: u64, deadline: u64) -> Result<(), Dead> {
+        let now = self.sys.cpu_cycles();
+        let virtual_pacing = self.virtual_pacing();
+        let sess = &mut self.sessions[slot];
+        if sess.closed {
+            return Err("submit on a closed session");
+        }
+        if sess.pipelined {
+            return Err("closed-loop submit on a pipelined session");
+        }
+        sess.set_gate(&mut self.gating, false, sess.owed);
+        // Virtual pacing: a session with any committed request chains
+        // later submits behind it in FIFO order — whether the session
+        // submits before or after a delivery must not change any arrival
+        // cycle.
+        if virtual_pacing && sess.busy() {
+            sess.pending.push_back((bytes, delay, deadline));
+        } else {
+            let arrival = (sess.release + delay).max(now);
+            self.schedule_arrival(slot, arrival, bytes, deadline);
+        }
+        Ok(())
+    }
+
+    /// Open-loop burst: `count` arrivals at a fixed `gap`, anchored at
+    /// the session's release (or, while the session is busy, its latest
+    /// scheduled arrival) — offered load that does not slow down with
+    /// the server.
+    fn submit_burst(
+        &mut self,
+        slot: usize,
+        bytes: usize,
+        start_delay: u64,
+        gap: u64,
+        count: usize,
+        deadline: u64,
+    ) -> Result<(), Dead> {
+        let now = self.sys.cpu_cycles();
+        let virtual_pacing = self.virtual_pacing();
+        let sess = &mut self.sessions[slot];
+        if sess.closed {
+            return Err("submit on a closed session");
+        }
+        if sess.pipelined {
+            return Err("burst submit on a pipelined session");
+        }
+        sess.set_gate(&mut self.gating, false, sess.owed);
+        // Anchor the burst deterministically: a free session is behind
+        // the virtual-time barrier (now is a pure function of prior
+        // simulated work), a busy one anchors at its latest scheduled
+        // arrival so host timing can't re-time the burst.
+        let first = if virtual_pacing && sess.busy() {
+            sess.last_arrival + start_delay
+        } else {
+            (sess.release + start_delay).max(now)
+        };
+        for i in 0..count as u64 {
+            self.schedule_arrival(slot, first + i * gap, bytes, deadline);
+        }
+        Ok(())
+    }
+
+    /// Pipelined open-loop submit: `count` arrivals chained off the
+    /// session's previous *arrival* (`arrival = prev arrival + gap`),
+    /// independent of completions. Marks the session pipelined: every
+    /// delivery then owes the driver one client reaction (another
+    /// chained submit, an ack, or a close) before virtual time may
+    /// advance, so each chained arrival is computed at a deterministic
+    /// simulated cycle.
+    fn submit_chained(
+        &mut self,
+        slot: usize,
+        bytes: usize,
+        gap: u64,
+        count: usize,
+        deadline: u64,
+    ) -> Result<(), Dead> {
+        let now = self.sys.cpu_cycles();
+        let virtual_pacing = self.virtual_pacing();
+        let sess = &mut self.sessions[slot];
+        if sess.closed {
+            return Err("submit on a closed session");
+        }
+        if !sess.interactive {
+            return Err("pipelined submit on an autonomous session");
+        }
+        sess.set_gate(&mut self.gating, false, sess.owed.saturating_sub(1));
+        sess.pipelined = true;
+        // Chain off the previous *arrival* (the open cycle before any):
+        // an arithmetic arrival series independent of completions — this
+        // is what distinguishes the pipeline from the closed loop. Under
+        // virtual pacing the chained cycle is a pure function of prior
+        // arrivals, so it may legitimately lie in the simulated past of a
+        // backlogged pipeline; injection stamps the scheduled arrival
+        // either way. WallClock clamps to now like every other path.
+        let mut arrival = sess.last_arrival + gap;
+        for _ in 0..count {
+            if !virtual_pacing {
+                arrival = arrival.max(now);
+            }
+            self.schedule_arrival(slot, arrival, bytes, deadline);
+            arrival = self.sessions[slot].last_arrival + gap;
+        }
+        Ok(())
+    }
+
+    /// Releases a pipelined session's per-delivery barrier without
+    /// extending the pipeline (the client consumed a completion and
+    /// declines to chain another request).
+    fn ack(&mut self, slot: usize) {
+        let sess = &mut self.sessions[slot];
+        sess.set_gate(&mut self.gating, false, sess.owed.saturating_sub(1));
     }
 
     /// Commits one arrival at `cycle` for the session in `slot`.
@@ -1043,21 +1274,23 @@ impl Driver {
         sess.last_arrival = sess.last_arrival.max(cycle);
         self.schedule
             .push(Reverse((cycle, session, bytes, cycle, deadline_at, 0)));
+        // A waiting wall-clock pacer has new work.
+        self.wake |= self.pacer_parked;
     }
 
-    /// Closes a session: discards its queued and scheduled-but-not-yet
-    /// injected submits, stops the service-side client (in-flight
-    /// requests drain normally; their completions are discarded if the
-    /// handle is gone), and never again gates virtual time on it.
-    fn close_session(&mut self, session: usize) {
-        let slot = self.slot(session);
+    /// Closes a session: discards its outbox, its queued and
+    /// scheduled-but-not-yet-injected submits, stops the service-side
+    /// client (in-flight requests drain normally; their completions are
+    /// discarded), and never again gates virtual time on it.
+    fn close_session(&mut self, slot: usize) {
+        let session = self.id_base.expect("session open implies base") + slot;
         let sess = &mut self.sessions[slot];
         if sess.closed {
             return;
         }
         sess.closed = true;
         sess.set_gate(&mut self.gating, false, 0);
-        sess.tx = None;
+        sess.outbox = VecDeque::new();
         sess.pending = VecDeque::new();
         if sess.scheduled > 0 {
             sess.scheduled = 0;
@@ -1068,6 +1301,25 @@ impl Driver {
                 .collect();
         }
         self.sys.close_session(session);
+    }
+
+    /// A handle dropped without `close`: no one will take this session's
+    /// outcomes or react to them. It stops holding the barrier now, and
+    /// an interactive session with nothing committed closes now; one
+    /// with requests scheduled or in flight keeps them (they complete
+    /// unseen) and closes at its next hand-over. An autonomous session
+    /// keeps generating load.
+    fn detach(&mut self, slot: usize) {
+        let sess = &mut self.sessions[slot];
+        if sess.closed {
+            return;
+        }
+        sess.detached = true;
+        sess.outbox = VecDeque::new();
+        sess.set_gate(&mut self.gating, false, 0);
+        if sess.interactive && !sess.busy() {
+            self.close_session(slot);
+        }
     }
 
     /// Injects every scheduled arrival due at the current cycle, gating
@@ -1187,7 +1439,7 @@ impl Driver {
         self.hand_over(slot, outcome);
     }
 
-    /// Drains every pending completion to its session channel, chaining
+    /// Drains every pending completion to its session's outbox, chaining
     /// queued submits.
     fn deliver(&mut self) {
         while let Some((session, seq, served)) = self.sys.take_service_completion() {
@@ -1214,22 +1466,24 @@ impl Driver {
         }
     }
 
-    /// Sends a resolved request's outcome to its session and runs the
-    /// session's continuation: a pipelined session owes one reaction, a
-    /// closed-loop one chains its next queued submit or, with nothing
-    /// left, holds the barrier until the client decides. A send failure
-    /// means the handle was dropped without closing (or the session is
-    /// closed); treating the session as closed right here is what keeps
-    /// the virtual-time barrier from waiting forever on a submitter that
-    /// no longer exists.
+    /// Puts a resolved request's outcome in its session's outbox (waking
+    /// the session's parked thread) and runs the session's continuation:
+    /// a pipelined session owes one reaction, a closed-loop one chains
+    /// its next queued submit or, with nothing left, holds the barrier
+    /// until the client decides. A closed or detached session's outcome
+    /// is dropped, and a detached session closes here.
     fn hand_over(&mut self, slot: usize, outcome: SubmitOutcome) {
         let now = self.sys.cpu_cycles();
         let virtual_pacing = self.virtual_pacing();
         let sess = &mut self.sessions[slot];
-        if !sess.send(outcome) {
-            let session = self.id_base.expect("session open implies base") + slot;
-            self.close_session(session);
+        if sess.closed || sess.detached {
+            self.close_session(slot);
             return;
+        }
+        sess.outbox.push_back(outcome);
+        if sess.parked && sess.outbox.len() == 1 {
+            self.ready += 1;
+            self.wake = true;
         }
         if sess.pipelined {
             // Pipelined per-delivery barrier: the client owes one
@@ -1240,7 +1494,7 @@ impl Driver {
         } else if let Some((bytes, delay, deadline)) = sess.pending.pop_front() {
             let arrival = (sess.release + delay).max(now);
             self.schedule_arrival(slot, arrival, bytes, deadline);
-        } else if sess.interactive && !sess.closed && !sess.busy() {
+        } else if sess.interactive && !sess.busy() {
             sess.set_gate(&mut self.gating, virtual_pacing, sess.owed);
         }
     }
@@ -1283,8 +1537,8 @@ impl Driver {
     }
 
     /// Emits a snapshot if the observation interval elapsed (`force`
-    /// skips the interval check — the driver's parting snapshot). A
-    /// dropped receiver ends the stream.
+    /// skips the interval check — the parting snapshot). A dropped
+    /// receiver ends the stream.
     fn observe(&mut self, force: bool) {
         let Some(obs) = &mut self.observer else {
             return;
@@ -1306,12 +1560,8 @@ impl Driver {
         }
     }
 
-    fn run(mut self) -> ServerReport {
-        match self.pacing {
-            Pacing::Virtual => self.run_virtual(),
-            Pacing::WallClock { cycles_per_ms } => self.run_wallclock(cycles_per_ms),
-        }
-        self.observe(true);
+    /// The final accounting.
+    fn report(&self) -> ServerReport {
         let stats = self
             .sys
             .service()
@@ -1323,7 +1573,9 @@ impl Driver {
             .map(|s| s.captured_words().to_vec())
             .unwrap_or_default();
         let arrival_logs = self.sys.service().map_or_else(Vec::new, |s| {
-            (0..s.clients()).map(|i| s.arrival_log(i).to_vec()).collect()
+            (0..s.clients())
+                .map(|i| s.arrival_log(i).to_vec())
+                .collect()
         });
         ServerReport {
             stats,
@@ -1336,122 +1588,53 @@ impl Driver {
         }
     }
 
-    /// One blocking control receive; returns false when the channel is
-    /// disconnected (treated as shutdown).
-    fn recv_blocking(&mut self) -> bool {
-        match self.ctl.recv() {
-            Ok(msg) => {
-                self.handle(msg);
-                true
-            }
-            Err(_) => {
-                self.shutdown = true;
-                false
-            }
+    /// One turn of the virtual-time loop: deliver pending completions,
+    /// or advance to the next scheduled arrival (stopping at a
+    /// completion) and inject what is due. False when no turn is
+    /// possible: nothing is scheduled or in flight, or `barrier` is set
+    /// and an interactive session owes the driver its next decision —
+    /// the barrier that makes the interleaving independent of host
+    /// thread scheduling (shutdown drains without it).
+    fn step(&mut self, barrier: bool) -> bool {
+        if self.schedule.is_empty() && self.inflight.is_empty() {
+            return false;
         }
-    }
-
-    fn drain_ctl(&mut self) {
-        loop {
-            match self.ctl.try_recv() {
-                Ok(msg) => self.handle(msg),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    self.shutdown = true;
-                    break;
-                }
-            }
+        debug_assert_eq!(
+            self.gating,
+            self.sessions.iter().filter(|s| s.gates()).count(),
+            "barrier count out of step with the session flags"
+        );
+        if barrier && self.gating > 0 {
+            return false;
         }
-    }
-
-    fn run_virtual(&mut self) {
-        loop {
-            self.drain_ctl();
-            let drained = self.schedule.is_empty() && self.inflight.is_empty();
-            if self.shutdown && drained {
-                break;
-            }
-            // Time may not advance while an interactive session owes the
-            // driver its next decision — that barrier is what makes the
-            // interleaving independent of host thread scheduling.
-            debug_assert_eq!(
-                self.gating,
-                self.sessions.iter().filter(|s| s.gates()).count(),
-                "barrier count out of step with the session flags"
-            );
-            if !self.shutdown && self.gating > 0 {
-                self.recv_blocking();
-                continue;
-            }
-            if drained {
-                if self.shutdown {
-                    break;
-                }
-                self.recv_blocking();
-                continue;
-            }
-            if self.sys.service_completions_pending() > 0 {
-                self.deliver();
-                continue;
-            }
-            if let Some(&Reverse((cycle, ..))) = self.schedule.peek() {
-                // A backlogged pipelined session may chain arrivals into
-                // the simulated past (`cycle < now`); they inject
-                // immediately, stamped with the scheduled cycle.
-                let now = self.sys.cpu_cycles();
-                if cycle > now {
-                    self.sys
-                        .advance_until(cycle - now, |s| s.service_completions_pending() > 0);
-                }
-                if self.sys.service_completions_pending() == 0 {
-                    self.inject_due();
-                    continue;
-                }
-            } else {
-                let before = self.sys.cpu_cycles();
-                self.sys
-                    .advance_until(DRIVE_SLICE, |s| s.service_completions_pending() > 0);
-                assert!(
-                    self.sys.service_completions_pending() > 0
-                        || self.sys.cpu_cycles() > before,
-                    "driver stuck: in-flight requests but no progress"
-                );
-            }
+        if self.sys.service_completions_pending() > 0 {
             self.deliver();
+            return true;
         }
-    }
-
-    fn run_wallclock(&mut self, cycles_per_ms: u64) {
-        let start = Instant::now();
-        loop {
-            self.drain_ctl();
-            self.observe(false);
-            let drained = self.schedule.is_empty() && self.inflight.is_empty();
-            if self.shutdown {
-                if drained {
-                    break;
-                }
-                // Drain outstanding work at full simulation speed.
-                self.catch_up(u64::MAX);
-                continue;
-            }
-            let target = start.elapsed().as_micros() as u64 * cycles_per_ms / 1000;
+        if let Some(&Reverse((cycle, ..))) = self.schedule.peek() {
+            // A backlogged pipelined session may chain arrivals into the
+            // simulated past (`cycle < now`); they inject immediately,
+            // stamped with the scheduled cycle.
             let now = self.sys.cpu_cycles();
-            if target <= now {
-                if drained {
-                    match self.ctl.recv_timeout(Duration::from_millis(1)) {
-                        Ok(msg) => self.handle(msg),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => self.shutdown = true,
-                    }
-                } else {
-                    // Simulation ahead of the host clock: let it catch up.
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                continue;
+            if cycle > now {
+                self.sys
+                    .advance_until(cycle - now, |s| s.service_completions_pending() > 0);
             }
-            self.catch_up(target);
+            if self.sys.service_completions_pending() == 0 {
+                self.inject_due();
+                return true;
+            }
+        } else {
+            let before = self.sys.cpu_cycles();
+            self.sys
+                .advance_until(DRIVE_SLICE, |s| s.service_completions_pending() > 0);
+            assert!(
+                self.sys.service_completions_pending() > 0 || self.sys.cpu_cycles() > before,
+                "driver stuck: in-flight requests but no progress"
+            );
         }
+        self.deliver();
+        true
     }
 
     /// Advances the simulation toward `target`, stopping at scheduled

@@ -524,3 +524,179 @@ fn session_churn_matches_the_synchronous_replay() {
         report.captured
     );
 }
+
+/// Runs `body` on its own thread and fails the test after `limit`
+/// instead of hanging on a lost wake-up.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done_tx, done) = mpsc::channel();
+    let runner = thread::spawn(move || done_tx.send(body()).expect("test thread waiting"));
+    let out = done
+        .recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("not finished within {limit:?}"));
+    runner.join().expect("runner panicked");
+    out
+}
+
+fn within_two_minutes<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+    within(Duration::from_secs(120), body)
+}
+
+/// A wall-clock pacer that can never catch up with the host clock runs
+/// turn after turn under the lock. It must step aside both for callers
+/// it woke with an outcome and for threads waiting to take the lock, such
+/// as a poller: taking the lock straight back starves them. On one CPU,
+/// as CI runs this, a pacer that skipped either step-aside held the
+/// caller off past the guard in every run tried; this takes under a
+/// second in release and about 4 s in debug.
+#[test]
+fn a_pacer_behind_the_clock_lets_callers_in() {
+    const BLOCKING: usize = 1_000;
+    const POLLED: usize = 100;
+    let report = within(Duration::from_secs(60), || {
+        let server = RngServer::start(
+            server_system(),
+            Pacing::WallClock {
+                cycles_per_ms: 1_000_000_000_000,
+            },
+        );
+        let _load = server.open_session(ClientSpec::poisson(32, 200_000, u64::MAX, 5));
+        let mut h = server.open_session(ClientSpec::manual(8));
+        let mut buf = [0u8; 8];
+        for _ in 0..BLOCKING {
+            h.getrandom(&mut buf, 1_000);
+        }
+        for _ in 0..POLLED {
+            h.submit_after(8, 1_000);
+            while h.try_recv_outcome().is_none() {
+                thread::yield_now();
+            }
+        }
+        h.close();
+        server.shutdown()
+    });
+    assert_eq!(report.stats.latency_by_client[1].len(), BLOCKING + POLLED);
+}
+
+#[test]
+fn idle_dropped_handle_does_not_freeze_other_sessions() {
+    // A handle dropped while its session awaits the client's next
+    // decision, with nothing in flight: no outcome will ever reveal
+    // that it is gone, so the drop itself must give up the barrier.
+    let report = within_two_minutes(|| {
+        let server = RngServer::start(server_system(), Pacing::Virtual);
+        let mut buf = [0u8; 8];
+        let mut idle = server.open_session(ClientSpec::manual(8));
+        idle.getrandom(&mut buf, 100);
+        drop(idle);
+        let mut next = server.open_session(ClientSpec::manual(8));
+        next.getrandom(&mut buf, 100);
+        next.close();
+        server.shutdown()
+    });
+    assert_eq!(report.sessions, 2);
+    assert_eq!(report.stats.requests_completed, 2);
+}
+
+/// The 4-session schedule from two threads that only ever poll with
+/// `try_recv_outcome`: polling alone must advance the simulation, and
+/// the result is the synchronous run's.
+#[test]
+fn polling_clients_drive_the_simulation() {
+    const THREADS: usize = 2;
+    let report = within_two_minutes(|| {
+        let server = RngServer::start(server_system(), Pacing::Virtual);
+        let handles: Vec<_> = SESSIONS
+            .iter()
+            .map(|&(bytes, _, _)| server.open_session(ClientSpec::manual(bytes)))
+            .collect();
+        let mut lanes: Vec<Vec<_>> = (0..THREADS).map(|_| Vec::new()).collect();
+        for (i, handle) in handles.into_iter().enumerate() {
+            lanes[i % THREADS].push((Some(handle), SESSIONS[i]));
+        }
+        thread::scope(|scope| {
+            for mut lane in lanes {
+                scope.spawn(move || {
+                    for (handle, (bytes, _, _)) in &mut lane {
+                        handle.as_mut().expect("open").submit_after(*bytes, 0);
+                    }
+                    let mut left: Vec<u64> = lane.iter().map(|(_, s)| s.2 - 1).collect();
+                    while lane.iter().any(|(h, _)| h.is_some()) {
+                        let mut progressed = false;
+                        for ((slot, (bytes, think, _)), left) in lane.iter_mut().zip(&mut left) {
+                            let Some(handle) = slot.as_mut() else {
+                                continue;
+                            };
+                            let Some(outcome) = handle.try_recv_outcome() else {
+                                continue;
+                            };
+                            progressed = true;
+                            assert!(matches!(outcome, SubmitOutcome::Served(_)));
+                            if *left > 0 {
+                                *left -= 1;
+                                handle.submit_after(*bytes, *think);
+                            } else {
+                                slot.take().expect("open").close();
+                            }
+                        }
+                        if !progressed {
+                            thread::yield_now();
+                        }
+                    }
+                });
+            }
+        });
+        server.shutdown()
+    });
+    let (sync_stats, sync_captured) = sync_reference();
+    assert_eq!(report.stats, sync_stats);
+    assert_eq!(report.captured, sync_captured);
+}
+
+/// More blocked callers than CPUs: eight threads, one session each,
+/// every call parked until some other thread delivers its outcome or
+/// clears the barrier. CI also runs this on one CPU.
+#[test]
+fn many_blocking_threads_match_the_synchronous_closed_loop() {
+    const THINKS: [u64; 8] = [4_000, 2_500, 3_300, 2_900, 3_700, 4_400, 2_200, 3_100];
+    const CALLS: u64 = 2_000;
+    const BYTES: usize = 32;
+
+    let report = within_two_minutes(|| {
+        let server = RngServer::start(server_system(), Pacing::Virtual);
+        let handles: Vec<_> = THINKS
+            .iter()
+            .map(|_| server.open_session(ClientSpec::manual(BYTES)))
+            .collect();
+        thread::scope(|scope| {
+            for (mut handle, think) in handles.into_iter().zip(THINKS) {
+                scope.spawn(move || {
+                    let mut buf = [0u8; BYTES];
+                    for _ in 0..CALLS {
+                        let served = handle.getrandom(&mut buf, think);
+                        assert_eq!(served.words.len(), BYTES / 8);
+                    }
+                    handle.close();
+                });
+            }
+        });
+        server.shutdown()
+    });
+
+    let cfg = SystemConfig::dr_strange(0).with_service(ServiceConfig {
+        clients: THINKS
+            .iter()
+            .map(|&think| ClientSpec::closed_loop(BYTES, think, CALLS))
+            .collect(),
+        capture_values: true,
+        ..ServiceConfig::default()
+    });
+    let mut sync = System::new(cfg, Vec::new(), Box::new(DRange::new(TRNG_SEED)))
+        .expect("valid configuration");
+    let res = sync.run();
+    assert!(!res.hit_cycle_limit);
+    assert_eq!(report.stats, res.service.expect("service stats"));
+    assert_eq!(
+        report.captured,
+        sync.service().expect("service").captured_words()
+    );
+}

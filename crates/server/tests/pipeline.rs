@@ -159,3 +159,88 @@ fn mixing_closed_loop_into_a_pipeline_panics() {
     let _ = h.recv();
     let _ = h.recv();
 }
+
+/// A misuse kills the server, not the process: a caller parked in
+/// `getrandom` on another thread wakes and sees the dropped session.
+/// Virtual time orders the two threads. The other session's second call
+/// arrives long after the pipelined session's first arrival, and time
+/// cannot pass that arrival until the other thread has submitted it, so
+/// the pipelined outcome (and the misuse that answers it) comes while
+/// that call is blocked.
+#[test]
+fn a_misuse_wakes_a_caller_blocked_in_getrandom() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (done_tx, done) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let server = RngServer::start(server_system(), Pacing::Virtual);
+        let mut piped = server.open_session(ClientSpec::manual(BYTES));
+        let mut other = server.open_session(ClientSpec::manual(BYTES));
+        let blocked = std::thread::spawn(move || {
+            let mut buf = [0u8; BYTES];
+            other.getrandom(&mut buf, 0);
+            other.getrandom(&mut buf, 10_000_000);
+        });
+        piped.submit_pipelined(BYTES, 1_000_000, 2, u64::MAX);
+        let _ = piped.recv();
+        piped.submit_after(BYTES, 10);
+        let message = match blocked.join() {
+            Ok(()) => "the blocked call returned".to_string(),
+            Err(payload) => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "a panic without a message".to_string()),
+        };
+        // Neither drop may panic on the dead server.
+        drop(piped);
+        drop(server);
+        done_tx.send(message).expect("test thread waiting");
+    });
+    // A lost wake-up fails the test here instead of hanging it.
+    let message = done
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the blocked caller woke within two minutes");
+    runner.join().expect("runner panicked");
+    assert!(
+        message.contains("server dropped the session"),
+        "the blocked caller saw: {message}"
+    );
+}
+
+/// The other wake rule: a non-blocking reaction (here an `ack`) that
+/// clears the barrier wakes a caller parked behind it, because the
+/// reacting thread does not drive. Ordered in virtual time as above: the
+/// pipelined outcome is delivered while the other thread's second call
+/// waits on it, and this thread never receives again.
+#[test]
+fn an_ack_wakes_a_caller_parked_behind_the_barrier() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (done_tx, done) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let server = RngServer::start(server_system(), Pacing::Virtual);
+        let mut piped = server.open_session(ClientSpec::manual(BYTES));
+        let mut other = server.open_session(ClientSpec::manual(BYTES));
+        let blocked = std::thread::spawn(move || {
+            let mut buf = [0u8; BYTES];
+            other.getrandom(&mut buf, 0);
+            other.getrandom(&mut buf, 10_000_000);
+            other.close();
+        });
+        piped.submit_pipelined(BYTES, 1_000_000, 1, u64::MAX);
+        let _ = piped.recv();
+        piped.ack();
+        blocked.join().expect("the parked caller was served");
+        piped.close();
+        done_tx
+            .send(server.shutdown())
+            .expect("test thread waiting");
+    });
+    let report = done
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the parked caller woke within two minutes");
+    runner.join().expect("runner panicked");
+    assert_eq!(report.stats.requests_completed, 3);
+}

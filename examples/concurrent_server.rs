@@ -12,9 +12,9 @@
 //! paper's `stall_limit` idea generalized to tenants) and weighted fair
 //! queueing bound it, for a small toll on the aggressors.
 //!
-//! The driver thread advances virtual time deterministically
-//! (`Pacing::Virtual`), so this prints the same numbers on every run
-//! regardless of host scheduling.
+//! The tenant threads advance virtual time themselves, behind the
+//! server's virtual-time barrier (`Pacing::Virtual`), so this prints the
+//! same numbers on every run regardless of host scheduling.
 //!
 //! Run with: `cargo run --release --example concurrent_server`
 
